@@ -25,6 +25,23 @@ object ExactSearchBench {
   val competitors: Seq[String] =
     Seq("nary", "nary-scalar", "dsm", "gather", "pdx-linear", "pdx-bond")
 
+  /** Queries per second of `f` over `queries`: one warmup pass, then whole
+    * passes until at least `minNs` have elapsed.
+    */
+  private def measureQps(queries: IndexedSeq[Array[Float]], minNs: Long)(
+      f: Array[Float] => Unit): Double = {
+    queries.foreach(f)
+    val t0 = System.nanoTime()
+    var reps = 0
+    var elapsed = 0L
+    while (elapsed < minNs) {
+      queries.foreach(f)
+      reps += 1
+      elapsed = System.nanoTime() - t0
+    }
+    queries.length.toLong * reps * 1e9 / elapsed
+  }
+
   final case class Row(dataset: String, qps: Map[String, Double]) {
     def speedupOfBondOver(c: String): Double = qps("pdx-bond") / qps(c)
   }
@@ -45,19 +62,7 @@ object ExactSearchBench {
       val bond = new Bond(d, Bond.DistanceToMeans)
       val searcher = new PdxSearcher(k)
 
-      def qpsOf(f: Array[Float] => Unit): Double = {
-        queries.foreach(f) // warmup pass
-        val t0 = System.nanoTime()
-        var reps = 0
-        var elapsed = 0L
-        val minNs = if (quick) 50_000_000L else 400_000_000L
-        while (elapsed < minNs) {
-          queries.foreach(f)
-          reps += 1
-          elapsed = System.nanoTime() - t0
-        }
-        queries.length.toLong * reps * 1e9 / elapsed
-      }
+      val qpsOf = measureQps(queries, if (quick) 50_000_000L else 400_000_000L) _
 
       val qps = Map(
         "nary" -> qpsOf(q => BenchUtil.consume(LinearScan.naryKnn(nary, n, d, q, k).threshold)),
@@ -93,19 +98,7 @@ object ExactSearchBench {
       val queries = VectorData.gaussian(if (quick) 2 else 5, d, seed = 4321L + n)
       val dsm = PdxLayout.packDsm(vecs)
       val blocks = PdxLayout.pack(vecs, vecs.indices.map(_.toLong), 64)
-      def qpsOf(f: Array[Float] => Unit): Double = {
-        queries.foreach(f)
-        val minNs = if (quick) 30_000_000L else 300_000_000L
-        val t0 = System.nanoTime()
-        var reps = 0
-        var elapsed = 0L
-        while (elapsed < minNs) {
-          queries.foreach(f)
-          reps += 1
-          elapsed = System.nanoTime() - t0
-        }
-        queries.length.toLong * reps * 1e9 / elapsed
-      }
+      val qpsOf = measureQps(queries, if (quick) 30_000_000L else 300_000_000L) _
       val dsmQps = qpsOf(q => BenchUtil.consume(LinearScan.dsmKnn(dsm, n, q, 10).threshold))
       val pdxQps = qpsOf(q => BenchUtil.consume(LinearScan.pdxKnn(blocks, q, 10).threshold))
       n -> pdxQps / dsmQps

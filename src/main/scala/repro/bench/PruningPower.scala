@@ -22,7 +22,8 @@ object PruningPower {
                k: Int = 10): IndexedSeq[Double] = {
     val n = vecsInSpace.length
     val d = vecsInSpace.head.length
-    // Full squared norms, for incremental suffix norms (BSA's bound input).
+    // Full squared norms, for incremental suffix norms (BSA's bound input):
+    // `sqNorm − prefix` avoids storing n×(d+1) suffix norms per dataset.
     val sqNorms: Array[Double] =
       if (pruner.needsSuffixNorms)
         vecsInSpace.map { v =>

@@ -13,25 +13,15 @@ object NaryBucket {
   def pack(vecs: IndexedSeq[Array[Float]], ids: IndexedSeq[Long],
            withSuffixNorms: Boolean = false): NaryBucket = {
     require(vecs.nonEmpty)
-    val d = vecs.head.length
-    val data = PdxLayout.packNary(vecs)
-    val suffix =
-      if (!withSuffixNorms) Array.emptyFloatArray
-      else {
-        val s = new Array[Float](vecs.length * (d + 1))
-        var i = 0
-        while (i < vecs.length) {
-          val v = vecs(i)
-          val base = i * (d + 1)
-          var accD = 0.0
-          s(base + d) = 0f
-          var j = d - 1
-          while (j >= 0) { accD += v(j).toDouble * v(j); s(base + j) = accD.toFloat; j -= 1 }
-          i += 1
-        }
-        s
-      }
-    NaryBucket(ids.toArray, vecs.length, d, data, suffix)
+    fromBlock(PdxLayout.packOne(vecs, ids, vecs.head.length, withSuffixNorms))
+  }
+
+  /** The same vectors as `b` in horizontal layout: `b.data` transposed;
+    * ids and suffix norms (already laid out `i*(d+1)+j`) are shared.
+    */
+  def fromBlock(b: PdxBlock): NaryBucket = {
+    val data = PdxLayout.packNary((0 until b.n).map(b.vectorAt))
+    NaryBucket(b.ids, b.n, b.d, data, b.suffixSqNorms)
   }
 }
 
@@ -133,6 +123,17 @@ object LinearScan {
     heap
   }
 
+  /** Full distances of `q` to every vector of `block` into `acc(0 until n)`:
+    * the one whole-block PDX scan (no pruning) that the linear scans,
+    * PDXearch's START phase and IVF bucket selection share.
+    */
+  def scoreBlock(block: PdxBlock, q: Array[Float], acc: Array[Float]): Unit = {
+    require(q.length == block.d,
+            s"query has ${q.length} dimensions but the block has ${block.d}")
+    java.util.Arrays.fill(acc, 0, block.n, 0f)
+    Kernels.l2Pdx(block.data, block.n, q, null, 0, block.d, acc)
+  }
+
   /** PDX linear scan: blocks of vectors, dimension-at-a-time, no pruning. */
   def pdxKnn(blocks: IterableOnce[PdxBlock], q: Array[Float], k: Int): KnnHeap = {
     val heap = new KnnHeap(k)
@@ -141,8 +142,7 @@ object LinearScan {
     while (it.hasNext) {
       val b = it.next()
       if (acc.length < b.n) acc = new Array[Float](b.n)
-      java.util.Arrays.fill(acc, 0, b.n, 0f)
-      Kernels.l2Pdx(b.data, b.n, q, 0, b.d, acc)
+      scoreBlock(b, q, acc)
       var i = 0
       while (i < b.n) { heap.push(b.ids(i), acc(i)); i += 1 }
     }

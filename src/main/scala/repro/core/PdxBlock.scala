@@ -49,8 +49,8 @@ object PdxLayout {
   val DefaultBlockSize = 64
 
   /** Pack `vecs` into PDX blocks of at most `blockSize` vectors, preserving
-    * order. `withSuffixNorms` materializes the BSA metadata (double-pass,
-    * double-accumulated for accuracy, stored float).
+    * order. `withSuffixNorms` materializes the BSA metadata
+    * ([[suffixSqNorms]] per vector).
     */
   def pack(vecs: IndexedSeq[Array[Float]], ids: IndexedSeq[Long],
            blockSize: Int = DefaultBlockSize,
@@ -71,6 +71,7 @@ object PdxLayout {
               withSuffixNorms: Boolean): PdxBlock = {
     val n = group.length
     val data = new Array[Float](n * d)
+    val suffix = if (withSuffixNorms) new Array[Float](n * (d + 1)) else Array.emptyFloatArray
     val meansD = new Array[Double](d)
     var i = 0
     group.foreach { v =>
@@ -82,31 +83,12 @@ object PdxLayout {
         meansD(dim) += x
         dim += 1
       }
+      if (withSuffixNorms) suffixSqNorms(v, suffix, i * (d + 1))
       i += 1
     }
     val means = new Array[Float](d)
     var dim = 0
     while (dim < d) { means(dim) = (meansD(dim) / n).toFloat; dim += 1 }
-    val suffix =
-      if (!withSuffixNorms) Array.emptyFloatArray
-      else {
-        val s = new Array[Float]((d + 1) * n)
-        var i2 = 0
-        while (i2 < n) {
-          var accD = 0.0
-          val base = i2 * (d + 1)
-          s(base + d) = 0f
-          var j = d - 1
-          while (j >= 0) {
-            val x = data(j * n + i2).toDouble
-            accD += x * x
-            s(base + j) = accD.toFloat
-            j -= 1
-          }
-          i2 += 1
-        }
-        s
-      }
     PdxBlock(groupIds.toArray, n, d, data, means, suffix)
   }
 
@@ -114,15 +96,25 @@ object PdxLayout {
   def unpack(b: PdxBlock): IndexedSeq[(Long, Array[Float])] =
     (0 until b.n).map(i => (b.ids(i), b.vectorAt(i)))
 
+  /** Suffix squared norms of `v` into `out(base until base + d + 1)`:
+    * `out(base + j) = Σ_{t≥j} v(t)²`, accumulated in double from the last
+    * dimension down and stored float. The one routine behind both the
+    * per-vector block metadata and the query side of the BSA bound.
+    */
+  def suffixSqNorms(v: Array[Float], out: Array[Float], base: Int): Unit = {
+    val d = v.length
+    var acc = 0.0
+    out(base + d) = 0f
+    var j = d - 1
+    while (j >= 0) { acc += v(j).toDouble * v(j); out(base + j) = acc.toFloat; j -= 1 }
+  }
+
   /** Per-vector query suffix squared norms for the BSA bound:
     * out(j) = Σ_{t≥j} q(t)², length d+1.
     */
   def querySuffixSqNorms(q: Array[Float]): Array[Float] = {
-    val d = q.length
-    val out = new Array[Float](d + 1)
-    var acc = 0.0
-    var j = d - 1
-    while (j >= 0) { acc += q(j).toDouble * q(j); out(j) = acc.toFloat; j -= 1 }
+    val out = new Array[Float](q.length + 1)
+    suffixSqNorms(q, out, 0)
     out
   }
 

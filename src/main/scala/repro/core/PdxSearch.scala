@@ -61,6 +61,8 @@ final class PdxSearcher(
     val it = blocks.iterator
     while (it.hasNext) {
       val block = it.next()
+      require(pq.query.length == block.d,
+              s"query has ${pq.query.length} dimensions but the block has ${block.d}")
       if (!heap.isFull) startBlock(block, pq, heap)
       else scanBlock(block, pq, heap)
     }
@@ -71,10 +73,9 @@ final class PdxSearcher(
   private def startBlock(block: PdxBlock, pq: PreparedQuery, heap: KnnHeap): Unit = {
     val n = block.n
     ensureCapacity(n)
-    java.util.Arrays.fill(acc, 0, n, 0f)
     val t0 = if (profiler ne null) System.nanoTime() else 0L
-    // The full sum is order-independent; use the sequential kernel.
-    Kernels.l2Pdx(block.data, n, pq.query, 0, block.d, acc)
+    // The full sum is order-independent; use the sequential scan.
+    LinearScan.scoreBlock(block, pq.query, acc)
     if (profiler ne null) {
       profiler.distanceNanos += System.nanoTime() - t0
       profiler.dimValuesScanned += n.toLong * block.d
@@ -93,6 +94,7 @@ final class PdxSearcher(
     val order = pq.order(block.means)
     val tau = heap.threshold
     val suffix = block.suffixSqNorms
+    val hasSuffix = block.hasSuffixNorms
     val stride = d + 1
     var aliveCount = n
     var visited = 0
@@ -105,8 +107,7 @@ final class PdxSearcher(
     while (visited < d && aliveCount > cut) {
       val next = math.min(d, visited + step)
       var t0 = if (profiler ne null) System.nanoTime() else 0L
-      if (order == null) Kernels.l2Pdx(block.data, n, pq.query, visited, next, acc)
-      else Kernels.l2PdxOrdered(block.data, n, pq.query, order, visited, next, acc)
+      Kernels.l2Pdx(block.data, n, pq.query, order, visited, next, acc)
       if (profiler ne null) {
         profiler.distanceNanos += System.nanoTime() - t0
         profiler.dimValuesScanned += n.toLong * (next - visited)
@@ -126,20 +127,14 @@ final class PdxSearcher(
             prunedCnt += f
             i += 1
           }
-        } else if (suffix.length == 0) {
+        } else {
           // Generic bound: guard on the flag — the bound call itself is the
           // expensive part for non-trivial pruners, not the branch.
           while (i < n) {
             var f = pruned(i)
-            if (f == 0 && pq.bound(acc(i), visited, 0f) > tau) { f = 1; pruned(i) = 1 }
-            prunedCnt += f
-            i += 1
-          }
-        } else {
-          while (i < n) {
-            var f = pruned(i)
-            if (f == 0 && pq.bound(acc(i), visited, suffix(i * stride + visited)) > tau) {
-              f = 1; pruned(i) = 1
+            if (f == 0) {
+              val vs = if (hasSuffix) suffix(i * stride + visited) else 0f
+              if (pq.bound(acc(i), visited, vs) > tau) { f = 1; pruned(i) = 1 }
             }
             prunedCnt += f
             i += 1
@@ -191,18 +186,11 @@ final class PdxSearcher(
             if (acc(pos) <= tau) { positions(w) = pos; w += 1 }
             p += 1
           }
-        } else if (suffix.length == 0) {
-          while (p < posCount) {
-            val pos = positions(p)
-            if (pq.bound(acc(pos), visited, 0f) <= tau) { positions(w) = pos; w += 1 }
-            p += 1
-          }
         } else {
           while (p < posCount) {
             val pos = positions(p)
-            if (pq.bound(acc(pos), visited, suffix(pos * stride + visited)) <= tau) {
-              positions(w) = pos; w += 1
-            }
+            val vs = if (hasSuffix) suffix(pos * stride + visited) else 0f
+            if (pq.bound(acc(pos), visited, vs) <= tau) { positions(w) = pos; w += 1 }
             p += 1
           }
         }

@@ -24,9 +24,10 @@ object Ivf {
 
 /** An IVF index materialized in one search space (raw for PDX-BOND, rotated
   * for ADSampling, PCA for BSA): buckets as PDX blocks (bucket == block, as
-  * in Figure 2), the same buckets in horizontal layout for the N-ary
-  * searchers, and the centroids packed as a PDX block so bucket selection
-  * also uses the PDX kernel (§6.4, Table 7 "Find Nearest Buckets").
+  * in Figure 2) and the centroids packed as a PDX block so bucket selection
+  * also uses the PDX kernel (§6.4, Table 7 "Find Nearest Buckets"). The
+  * horizontal (N-ary) buckets and centroids for the N-ary searchers are
+  * derived from those on first use, so PDX-only users never build them.
   *
   * Empty buckets are dropped; `bucketOf(b)` maps a centroid index to its
   * position in `blocks` (or -1).
@@ -36,11 +37,13 @@ final class IvfIndex(
     val d: Int,
     val centroids: Array[Array[Float]],
     val centroidBlock: PdxBlock,
-    val centroidNary: Array[Float],
     val blocks: Array[PdxBlock],
-    val naryBuckets: Array[NaryBucket],
     val bucketOf: Array[Int]
 ) {
+
+  lazy val centroidNary: Array[Float] = PdxLayout.packNary(centroids.toIndexedSeq)
+
+  lazy val naryBuckets: Array[NaryBucket] = blocks.map(NaryBucket.fromBlock)
 
   /** Centroid indices sorted by distance to the (search-space) query. */
   def nearestBuckets(query: Array[Float], nprobe: Int,
@@ -49,7 +52,7 @@ final class IvfIndex(
     val k = centroids.length
     val dists = new Array[Float](k)
     if (usePdx) {
-      Kernels.l2Pdx(centroidBlock.data, centroidBlock.n, query, 0, d, dists)
+      LinearScan.scoreBlock(centroidBlock, query, dists)
     } else {
       var c = 0
       while (c < k) { dists(c) = Kernels.l2Unrolled(centroidNary, c * d, query, d); c += 1 }
@@ -120,17 +123,14 @@ object IvfIndex {
     var i = 0
     while (i < part.assign.length) { byBucket(part.assign(i)) += i; i += 1 }
     val blocksB = Vector.newBuilder[PdxBlock]
-    val naryB = Vector.newBuilder[NaryBucket]
     val bucketOf = Array.fill(part.nlist)(-1)
     var w = 0
     var c = 0
     while (c < part.nlist) {
       val members = byBucket(c).result()
       if (members.nonEmpty) {
-        val vs = members.map(vecsInSpace)
-        val vIds = members.map(ids)
-        blocksB += PdxLayout.packOne(vs, vIds, d, withSuffixNorms)
-        naryB += NaryBucket.pack(vs, vIds, withSuffixNorms)
+        blocksB += PdxLayout.packOne(members.map(vecsInSpace), members.map(ids), d,
+                                     withSuffixNorms)
         bucketOf(c) = w
         w += 1
       }
@@ -139,9 +139,8 @@ object IvfIndex {
     val centroidBlock = PdxLayout.packOne(
       spaceCentroids.toIndexedSeq, spaceCentroids.indices.map(_.toLong), d,
       withSuffixNorms = false)
-    new IvfIndex(part.nlist, d, spaceCentroids, centroidBlock,
-                 PdxLayout.packNary(spaceCentroids.toIndexedSeq),
-                 blocksB.result().toArray, naryB.result().toArray, bucketOf)
+    new IvfIndex(part.nlist, d, spaceCentroids, centroidBlock, blocksB.result().toArray,
+                 bucketOf)
   }
 
   /** Convenience: partition raw data and materialize in a pruner's space. */

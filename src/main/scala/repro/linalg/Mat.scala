@@ -65,11 +65,6 @@ final case class Mat(rows: Int, cols: Int, a: Array[Double]) {
     out
   }
 
-  /** Apply `this` (D x D) to a float vector, returning floats. 4-way
-    * unrolled: this is the per-query transform cost of ADSampling/BSA
-    * ("Query Preprocessing" in Table 7), so it gets the same independent-
-    * accumulator treatment as the distance kernels.
-    */
   /** Float copy of `a`, materialized on first float matvec: halves the
     * memory traffic of the per-query transform, which is memory-bound at
     * D=1536 (9.4 MB vs 18.9 MB per matvec).
@@ -81,6 +76,11 @@ final case class Mat(rows: Int, cols: Int, a: Array[Double]) {
     out
   }
 
+  /** Apply `this` (D x D) to a float vector, returning floats. 4-way
+    * unrolled: this is the per-query transform cost of ADSampling/BSA
+    * ("Query Preprocessing" in Table 7), so it gets the same independent-
+    * accumulator treatment as the distance kernels.
+    */
   def mulVecF(v: Array[Float]): Array[Float] = {
     require(v.length == cols)
     val m = aF

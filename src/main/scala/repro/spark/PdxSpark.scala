@@ -72,16 +72,8 @@ object PdxSpark {
     * Returns (id LONG, dist DOUBLE) sorted ascending by (dist, id).
     */
   def knnExact(blocks: Dataset[PdxBlockRow], query: Array[Float], k: Int): DataFrame = {
-    val spark = blocks.sparkSession
-    import spark.implicits._
-    blocks
-      .mapPartitions { it =>
-        val heap = LinearScan.pdxKnn(it.map(_.toBlock), query, k)
-        heap.sorted.iterator.map { case (id, dist) => (id, dist.toDouble) }
-      }
-      .toDF("id", "dist")
-      .orderBy(col("dist"), col("id"))
-      .limit(k)
+    require(k > 0, s"k must be positive, got $k")
+    globalTopK(blocks, k)(it => LinearScan.pdxKnn(it, query, k))
   }
 
   /** Distributed PDX-BOND KNN: per-partition PDXearch with the exact
@@ -90,14 +82,22 @@ object PdxSpark {
     */
   def knnBond(blocks: Dataset[PdxBlockRow], query: Array[Float], k: Int,
               criteria: Bond.Criteria = Bond.DistanceToMeans): DataFrame = {
+    require(k > 0, s"k must be positive, got $k")
+    val d = query.length
+    globalTopK(blocks, k)(it => new PdxSearcher(k).search(it, query, new Bond(d, criteria)))
+  }
+
+  /** Runs `topK` on each partition's blocks and merges the per-partition
+    * top-k into the global one: (id LONG, dist DOUBLE) sorted ascending by
+    * (dist, id).
+    */
+  private def globalTopK(blocks: Dataset[PdxBlockRow], k: Int)(
+      topK: Iterator[PdxBlock] => KnnHeap): DataFrame = {
     val spark = blocks.sparkSession
     import spark.implicits._
-    val d = query.length
     blocks
       .mapPartitions { it =>
-        val searcher = new PdxSearcher(k)
-        val heap = searcher.search(it.map(_.toBlock), query, new Bond(d, criteria))
-        heap.sorted.iterator.map { case (id, dist) => (id, dist.toDouble) }
+        topK(it.map(_.toBlock)).sorted.iterator.map { case (id, dist) => (id, dist.toDouble) }
       }
       .toDF("id", "dist")
       .orderBy(col("dist"), col("id"))
@@ -116,8 +116,7 @@ object PdxSpark {
       it.foreach { row =>
         val b = row.toBlock
         if (acc.length < b.n) acc = new Array[Float](b.n)
-        java.util.Arrays.fill(acc, 0, b.n, 0f)
-        Kernels.l2Pdx(b.data, b.n, query, 0, b.d, acc)
+        LinearScan.scoreBlock(b, query, acc)
         var i = 0
         while (i < b.n) { if (acc(i) < r2) count += 1; i += 1 }
       }
@@ -134,14 +133,11 @@ object PdxSpark {
     spark.udf.register(
       "pdx_block_knn",
       (data: Seq[Float], n: Int, d: Int, ids: Seq[Long], query: Seq[Float], k: Int) => {
-        val dataArr = data.toArray
-        val q = query.toArray
-        val acc = new Array[Float](n)
-        Kernels.l2Pdx(dataArr, n, q, 0, d, acc)
-        val heap = new KnnHeap(k)
-        var i = 0
-        while (i < n) { heap.push(ids(i), acc(i)); i += 1 }
-        heap.sorted.map { case (id, dist) => (id, dist.toDouble) }
+        // A linear scan never reads the block means, so zeros stand in.
+        val block = PdxBlock(ids.toArray, n, d, data.toArray, new Array[Float](d),
+                             Array.emptyFloatArray)
+        LinearScan.pdxKnn(Iterator.single(block), query.toArray, k).sorted
+          .map { case (id, dist) => (id, dist.toDouble) }
       }
     )
   }

@@ -36,29 +36,4 @@ class SynthDataSpec extends SparkSpec {
     val dists = vecs.map(v => repro.core.Kernels.l2Ref(v, q)).sorted
     assert(dists(10) < dists(dists.length - 1) * 0.5, "no cluster contrast")
   }
-
-  test("TPC-H-lite lineitem aggregate matches DuckDB") {
-    val li = SynthData.lineitem(spark, sf = 0.0005, seed = 0).cache()
-    val agg = li.groupBy("l_returnflag")
-      .agg(count(lit(1)).as("cnt"), round(sum("l_quantity"), 2).as("qty"))
-    Oracle.assertEquivalent(agg,
-      """SELECT l_returnflag, COUNT(*) AS cnt,
-        |       ROUND(SUM(CAST(l_quantity AS DOUBLE)), 2) AS qty
-        |FROM lineitem GROUP BY l_returnflag""".stripMargin,
-      "lineitem" -> li)
-    li.unpersist()
-  }
-
-  test("TPC-H-lite orders join customer matches DuckDB") {
-    val o = SynthData.orders(spark, sf = 0.0005).cache()
-    val c = SynthData.customer(spark, sf = 0.0005).cache()
-    val agg = o.join(c, o("o_custkey") === c("c_custkey"))
-      .groupBy("c_mktsegment").agg(count(lit(1)).as("cnt"))
-    Oracle.assertEquivalent(agg,
-      """SELECT c_mktsegment, COUNT(*) AS cnt
-        |FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey
-        |GROUP BY c_mktsegment""".stripMargin,
-      "orders" -> o, "customer" -> c)
-    o.unpersist(); c.unpersist()
-  }
 }

@@ -58,31 +58,35 @@ class KernelsSpec extends AnyFunSuite {
   }
 
   test("PDX range kernel accumulates across split calls (within float regrouping)") {
-    val d = 60
-    val vecs = VectorData.gaussian(64, d, seed = 5)
-    val q = VectorData.gaussian(1, d, seed = 6).head
-    val b = PdxLayout.pack(vecs, vecs.indices.map(_.toLong), 64).head
-    val whole = new Array[Float](b.n)
-    Kernels.l2Pdx(b.data, b.n, q, 0, d, whole)
-    val split = new Array[Float](b.n)
     // Split points misaligned with the 4-dim blocking: results may differ by
-    // float regrouping only.
-    Kernels.l2Pdx(b.data, b.n, q, 0, 7, split)
-    Kernels.l2Pdx(b.data, b.n, q, 7, 31, split)
-    Kernels.l2Pdx(b.data, b.n, q, 31, d, split)
-    (0 until b.n).foreach(i => assert(math.abs(whole(i) - split(i)) <= relTol(whole(i), d)))
+    // float regrouping only. The second input visits a random permutation
+    // at a dimensionality that is not a multiple of 4.
+    val inputs = Seq[(Int, Array[Int], Seq[Int])](
+      (60, null, Seq(0, 7, 31, 60)),
+      (13, new scala.util.Random(12).shuffle((0 until 13).toVector).toArray, Seq(0, 3, 9, 13))
+    )
+    for ((d, order, cuts) <- inputs) {
+      val vecs = VectorData.gaussian(64, d, seed = 5)
+      val q = VectorData.gaussian(1, d, seed = 6).head
+      val b = PdxLayout.pack(vecs, vecs.indices.map(_.toLong), 64).head
+      val whole = new Array[Float](b.n)
+      Kernels.l2Pdx(b.data, b.n, q, order, 0, d, whole)
+      val split = new Array[Float](b.n)
+      cuts.sliding(2).foreach { case Seq(j0, j1) => Kernels.l2Pdx(b.data, b.n, q, order, j0, j1, split) }
+      (0 until b.n).foreach(i => assert(math.abs(whole(i) - split(i)) <= relTol(whole(i), d), s"d=$d i=$i"))
+    }
   }
 
-  test("l2PdxOrdered over a full permutation equals sequential full scan") {
+  test("l2Pdx with a full permutation order equals sequential full scan") {
     val d = 40
     val vecs = VectorData.gaussian(30, d, seed = 7)
     val q = VectorData.gaussian(1, d, seed = 8).head
     val b = PdxLayout.pack(vecs, vecs.indices.map(_.toLong), 64).head
     val seqAcc = new Array[Float](b.n)
-    Kernels.l2Pdx(b.data, b.n, q, 0, d, seqAcc)
+    Kernels.l2Pdx(b.data, b.n, q, null, 0, d, seqAcc)
     val order = new scala.util.Random(9).shuffle((0 until d).toVector).toArray
     val ordAcc = new Array[Float](b.n)
-    Kernels.l2PdxOrdered(b.data, b.n, q, order, 0, d, ordAcc)
+    Kernels.l2Pdx(b.data, b.n, q, order, 0, d, ordAcc)
     (0 until b.n).foreach { i =>
       assert(math.abs(seqAcc(i) - ordAcc(i)) <= relTol(seqAcc(i), d))
     }
@@ -182,7 +186,7 @@ class KernelsSpec extends AnyFunSuite {
       var idx = 0
       blocks.foreach { b =>
         val acc = new Array[Float](b.n)
-        Kernels.l2Pdx(b.data, b.n, q, 0, d, acc)
+        Kernels.l2Pdx(b.data, b.n, q, null, 0, d, acc)
         (0 until b.n).foreach { i =>
           val h = Kernels.l2Unrolled(nary, idx * d, q, d)
           assert(math.abs(acc(i) - h) <= 1e-2 * (1 + math.abs(h)))

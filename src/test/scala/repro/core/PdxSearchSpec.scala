@@ -53,6 +53,20 @@ class PdxSearchSpec extends AnyFunSuite {
     }
   }
 
+  test("pdxKnn and PDXearch reject a query of the wrong dimensionality") {
+    val d = 20
+    val ds = clustered(300, d, seed = 29)
+    val blocks = PdxLayout.pack(ds.vectors, ds.ids, 64)
+    val searcher = new PdxSearcher(10)
+    for (len <- Seq(d - 1, d + 1)) {
+      val q = VectorData.gaussian(1, len, seed = len.toLong).head
+      val e1 = intercept[IllegalArgumentException](LinearScan.pdxKnn(blocks, q, 10))
+      assert(e1.getMessage.contains(s"query has $len dimensions but the block has $d"))
+      val e2 = intercept[IllegalArgumentException](searcher.search(blocks, q, Pruner.PartialDistance(d)))
+      assert(e2.getMessage.contains(s"query has $len dimensions but the block has $d"))
+    }
+  }
+
   test("PDXearch + BSA(m=1) is exact") {
     val d = 32
     val ds = clustered(700, d, seed = 13, skewed = true)

@@ -63,6 +63,21 @@ class PdxSparkSpec extends SparkSpec {
     blocks.unpersist()
   }
 
+  test("knnExact and knnBond reject a wrong-length query and a non-positive k") {
+    val df = PdxSpark.toVectorDF(spark, ds.vectors.take(200), numPartitions = 2)
+    val blocks = PdxSpark.pack(df, 64).cache()
+    val q = VectorData.gaussian(1, 25, seed = 3).head
+    def messages(e: Throwable): String =
+      Iterator.iterate(e)(_.getCause).takeWhile(_ != null).map(_.getMessage).mkString("\n")
+    val exact = intercept[Exception](PdxSpark.knnExact(blocks, q, 10).collect())
+    assert(messages(exact).contains("query has 25 dimensions but the block has 24"))
+    val bond = intercept[Exception](PdxSpark.knnBond(blocks, q, 10).collect())
+    assert(messages(bond).contains("query has 25 dimensions but the block has 24"))
+    intercept[IllegalArgumentException](PdxSpark.knnExact(blocks, ds.queries.head, 0))
+    intercept[IllegalArgumentException](PdxSpark.knnBond(blocks, ds.queries.head, 0))
+    blocks.unpersist()
+  }
+
   test("rangeCount matches a local count") {
     val df = PdxSpark.toVectorDF(spark, ds.vectors, numPartitions = 4)
     val blocks = PdxSpark.pack(df, 64)
