@@ -12,6 +12,7 @@ import repro.prune.Bond
   * on the OpenAI-like high-dimensional dataset, at the nprobe reaching the
   * target recall.
   *
+  * Query prep and bucket selection are timed around their calls here;
   * PDXearch phases are timed directly (batched loops). The N-ary searchers
   * interleave per-vector bound checks too fine-grained to time, so their
   * scan time is split using a calibrated per-evaluation bound cost
@@ -85,80 +86,56 @@ object BreakdownBench {
     // `passes` measured passes per algorithm.
     val passes = if (quick) 1 else 3
 
-    def bestPass(prof: SearchProfiler,
-                 runAll: () => Double): (Long, SearchProfiler, Double) = {
-      var best: (Long, SearchProfiler, Double) = null
-      (0 until passes).foreach { _ =>
-        prof.reset()
-        val t0 = System.nanoTime()
-        val recall = runAll()
-        val totalNs = System.nanoTime() - t0
-        if (best == null || totalNs < best._1) {
-          val snap = new SearchProfiler
-          snap.queryPrepNanos = prof.queryPrepNanos
-          snap.findBucketsNanos = prof.findBucketsNanos
-          snap.distanceNanos = prof.distanceNanos
-          snap.boundsNanos = prof.boundsNanos
-          snap.dimValuesScanned = prof.dimValuesScanned
-          snap.boundEvals = prof.boundEvals
-          best = (totalNs, snap, recall)
-        }
+    // One full query pass with a fresh profiler and searcher. Query prep
+    // and bucket selection are timed here, around the calls; the searcher
+    // times its own distance and bound loops.
+    final case class Pass(totalNs: Long, prepNs: Long, bucketsNs: Long,
+                          prof: SearchProfiler, recall: Double)
+
+    def runPass(idx: IvfIndex, pruner: Pruner, nary: Boolean): Pass = {
+      val prof = new SearchProfiler
+      val pdxSearcher = new PdxSearcher(k, prof)
+      val narySearcher = new NarySearcher(k, prof)
+      var prepNs = 0L
+      var bucketsNs = 0L
+      var recallSum = 0.0
+      val t0 = System.nanoTime()
+      queries.indices.foreach { qi =>
+        val tPrep = System.nanoTime()
+        val pq = pruner.prepareQuery(queries(qi))
+        val tBuckets = System.nanoTime()
+        val probes = idx.nearestBuckets(pq.query, nprobe, usePdx = !nary).iterator.map(c => idx.bucketOf(c))
+        val tScan = System.nanoTime()
+        val heap = new KnnHeap(k)
+        if (nary) narySearcher.searchPrepared(probes.map(b => idx.naryBuckets(b)), pq, heap)
+        else pdxSearcher.searchPrepared(probes.map(b => idx.blocks(b)), pq, heap)
+        prepNs += tBuckets - tPrep
+        bucketsNs += tScan - tBuckets
+        recallSum += VectorData.recall(heap.idsSorted, gt(qi))
       }
-      best
+      Pass(System.nanoTime() - t0, prepNs, bucketsNs, prof, recallSum / queries.length)
     }
 
-    def measurePdx(name: String, idx: IvfIndex, pruner: Pruner): AlgoBreakdown = {
-      val prof = new SearchProfiler
-      val searcher = new PdxSearcher(k, profiler = prof)
-      queries.foreach(q => idx.searchPdx(q, k, nprobe, pruner, searcher)) // warmup pass
-      val (totalNs, snap, recall) = bestPass(prof, () => {
-        var recallSum = 0.0
-        queries.indices.foreach { qi =>
-          val res = idx.searchPdx(queries(qi), k, nprobe, pruner, searcher, prof)
-          recallSum += VectorData.recall(res.map(_._1), gt(qi))
-        }
-        recallSum / queries.length
-      })
-      toBreakdown(name, totalNs, snap, queries.length, recall, boundsOverride = Double.NaN)
-    }
-
-    def measureNary(name: String, idx: IvfIndex, pruner: Pruner): AlgoBreakdown = {
-      val prof = new SearchProfiler
-      val searcher = new NarySearcher(k, deltaD = math.min(32, math.max(1, spec.d / 4)), profiler = prof)
-      queries.foreach(q => idx.searchNary(q, k, nprobe, pruner, searcher)) // warmup pass
-      val unitBound = calibrateBoundNanos(pruner, queries.head, spec.d)
-      val (totalNs, snap, recall) = bestPass(prof, () => {
-        var recallSum = 0.0
-        queries.indices.foreach { qi =>
-          val res = idx.searchNary(queries(qi), k, nprobe, pruner, searcher, prof)
-          recallSum += VectorData.recall(res.map(_._1), gt(qi))
-        }
-        recallSum / queries.length
-      })
-      toBreakdown(name, totalNs, snap, queries.length, recall,
-                  boundsOverride = snap.boundEvals * unitBound)
-    }
-
-    def toBreakdown(name: String, totalNs: Long, prof: SearchProfiler, nq: Int,
-                    recall: Double, boundsOverride: Double): AlgoBreakdown = {
-      val boundsNs = if (boundsOverride.isNaN) prof.boundsNanos.toDouble else boundsOverride
-      val distNs0 =
-        if (boundsOverride.isNaN) prof.distanceNanos.toDouble
-        else math.max(0.0, prof.distanceNanos - boundsOverride)
-      val accounted = distNs0 + prof.findBucketsNanos + boundsNs + prof.queryPrepNanos
+    def measure(name: String, idx: IvfIndex, pruner: Pruner, nary: Boolean): AlgoBreakdown = {
+      val unitBound = if (nary) calibrateBoundNanos(pruner, queries.head, spec.d) else 0.0
+      runPass(idx, pruner, nary) // warmup pass
+      val p = (0 until passes).map(_ => runPass(idx, pruner, nary)).minBy(_.totalNs)
+      val boundsNs = if (nary) p.prof.boundEvals * unitBound else p.prof.boundsNanos.toDouble
+      val distNs0 = math.max(0.0, p.prof.distanceNanos - (if (nary) boundsNs else 0.0))
+      val accounted = distNs0 + p.bucketsNs + boundsNs + p.prepNs
       // Fold unaccounted time (heap, iteration) into Distance Calculation.
-      val distNs = distNs0 + math.max(0.0, totalNs - accounted)
-      val toMs = 1e-6 / nq
-      AlgoBreakdown(name, totalNs * toMs, distNs * toMs, prof.findBucketsNanos * toMs,
-                    boundsNs * toMs, prof.queryPrepNanos * toMs, recall)
+      val distNs = distNs0 + math.max(0.0, p.totalNs - accounted)
+      val toMs = 1e-6 / queries.length
+      AlgoBreakdown(name, p.totalNs * toMs, distNs * toMs, p.bucketsNs * toMs,
+                    boundsNs * toMs, p.prepNs * toMs, p.recall)
     }
 
     val breakdowns = Seq(
-      measureNary("N-ary ADS", adsIdx, ads),
-      measurePdx("PDX ADS", adsIdx, ads),
-      measureNary("N-ary BSA", bsaIdx, bsa),
-      measurePdx("PDX BSA", bsaIdx, bsa),
-      measurePdx("PDX BOND", rawIdx, bond),
+      measure("N-ary ADS", adsIdx, ads, nary = true),
+      measure("PDX ADS", adsIdx, ads, nary = false),
+      measure("N-ary BSA", bsaIdx, bsa, nary = true),
+      measure("PDX BSA", bsaIdx, bsa, nary = false),
+      measure("PDX BOND", rawIdx, bond, nary = false),
     )
 
     val table = BenchUtil.markdownTable(

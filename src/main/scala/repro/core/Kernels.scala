@@ -44,13 +44,17 @@ object Kernels {
     s
   }
 
-  /** 4-way unrolled L2 — independent accumulators break the FP dependency
-    * chain; the JVM stand-in for explicit-SIMD horizontal kernels.
+  /** 4-way unrolled L2 over dims [d0, d1) — independent accumulators break
+    * the FP dependency chain; the JVM stand-in for explicit-SIMD horizontal
+    * kernels. The range form serves the N-ary pruned search, which
+    * interleaves bounds every Δd dims: the paper SIMDizes the original
+    * ADSampling implementation "to compare it fairly to PDXearch" (§6.1), so
+    * the N-ary baseline gets the best horizontal form there too.
     */
-  def l2Unrolled(a: Array[Float], o: Int, q: Array[Float], d: Int): Float = {
+  def l2Unrolled(a: Array[Float], o: Int, q: Array[Float], d0: Int, d1: Int): Float = {
     var s0 = 0f; var s1 = 0f; var s2 = 0f; var s3 = 0f
-    var i = 0
-    val lim = d - 3
+    var i = d0
+    val lim = d1 - 3
     while (i < lim) {
       val t0 = q(i) - a(o + i)
       val t1 = q(i + 1) - a(o + i + 1)
@@ -59,7 +63,7 @@ object Kernels {
       s0 += t0 * t0; s1 += t1 * t1; s2 += t2 * t2; s3 += t3 * t3
       i += 4
     }
-    while (i < d) { val t = q(i) - a(o + i); s0 += t * t; i += 1 }
+    while (i < d1) { val t = q(i) - a(o + i); s0 += t * t; i += 1 }
     s0 + s1 + s2 + s3
   }
 
@@ -96,7 +100,7 @@ object Kernels {
   /** Horizontal kernel dispatch (unrolled = "best SIMD" stand-in). */
   def nary(metric: Metric)(a: Array[Float], o: Int, q: Array[Float], d: Int): Float =
     metric match {
-      case L2 => l2Unrolled(a, o, q, d)
+      case L2 => l2Unrolled(a, o, q, 0, d)
       case L1 => l1Unrolled(a, o, q, d)
       case IP => ipUnrolled(a, o, q, d)
     }
@@ -107,28 +111,6 @@ object Kernels {
       case L1 => l1Scalar(a, o, q, d)
       case IP => ipScalar(a, o, q, d)
     }
-
-  /** Partial horizontal L2 over dims [d0, d1) — used by the N-ary pruned
-    * search that interleaves bounds every Δd dims. Unrolled like the full
-    * kernel: the paper SIMDizes the original ADSampling implementation "to
-    * compare it fairly to PDXearch" (§6.1), so the N-ary baseline gets the
-    * best horizontal form here too.
-    */
-  def l2PartialNary(a: Array[Float], o: Int, q: Array[Float], d0: Int, d1: Int): Float = {
-    var s0 = 0f; var s1 = 0f; var s2 = 0f; var s3 = 0f
-    var i = d0
-    val lim = d1 - 3
-    while (i < lim) {
-      val t0 = q(i) - a(o + i)
-      val t1 = q(i + 1) - a(o + i + 1)
-      val t2 = q(i + 2) - a(o + i + 2)
-      val t3 = q(i + 3) - a(o + i + 3)
-      s0 += t0 * t0; s1 += t1 * t1; s2 += t2 * t2; s3 += t3 * t3
-      i += 4
-    }
-    while (i < d1) { val t = q(i) - a(o + i); s0 += t * t; i += 1 }
-    s0 + s1 + s2 + s3
-  }
 
   // ------------------------------------------------------------------
   // PDX kernels: data is dimension-major within a block; dim d of vector i

@@ -3,9 +3,12 @@ package repro.core
 /** Bounded binary max-heap over (id, distance) for K-nearest-neighbour
   * candidates — the paper's "KNN candidates list (usually a max-heap)".
   *
-  * `threshold` is the pruning bound τ: the current k-th best distance once
-  * the heap is full, +∞ before (nothing can be pruned until k candidates
-  * exist).
+  * It keeps the k smallest by (distance, id), the one total order of every
+  * search path, so results do not depend on arrival order even with
+  * duplicate vectors. `threshold` is the pruning bound τ: the current k-th
+  * best distance once the heap is full, +∞ before. Searchers prune only on
+  * `bound > τ`, so a candidate at distance τ reaches `push` and its id
+  * decides.
   */
 final class KnnHeap(val k: Int) {
   require(k > 0, "k must be positive")
@@ -19,9 +22,8 @@ final class KnnHeap(val k: Int) {
   /** Current pruning threshold (k-th best distance, or +∞ if not full). */
   def threshold: Float = if (count == k) dists(0) else Float.PositiveInfinity
 
-  /** Offer a candidate; keeps the k smallest distances. Ties at the
-    * threshold are rejected (strictly-better semantics), matching the
-    * "prune if bound ≥ τ is safe only for >" convention used by PDXearch.
+  /** Offer a candidate; at distance τ it replaces the top only if its id
+    * is smaller.
     */
   def push(id: Long, dist: Float): Unit = {
     if (count < k) {
@@ -29,7 +31,7 @@ final class KnnHeap(val k: Int) {
       idArr(count) = id
       count += 1
       siftUp(count - 1)
-    } else if (dist < dists(0)) {
+    } else if (dist < dists(0) || (dist == dists(0) && id < idArr(0))) {
       dists(0) = dist
       idArr(0) = id
       siftDown(0)
@@ -40,7 +42,7 @@ final class KnnHeap(val k: Int) {
     var i = i0
     while (i > 0) {
       val parent = (i - 1) >> 1
-      if (dists(i) > dists(parent)) { swap(i, parent); i = parent }
+      if (after(i, parent)) { swap(i, parent); i = parent }
       else return
     }
   }
@@ -51,13 +53,17 @@ final class KnnHeap(val k: Int) {
       val l = 2 * i + 1
       val r = l + 1
       var largest = i
-      if (l < count && dists(l) > dists(largest)) largest = l
-      if (r < count && dists(r) > dists(largest)) largest = r
+      if (l < count && after(l, largest)) largest = l
+      if (r < count && after(r, largest)) largest = r
       if (largest == i) return
       swap(i, largest)
       i = largest
     }
   }
+
+  /** Entry i comes after entry j in (distance, id) order. */
+  @inline private def after(i: Int, j: Int): Boolean =
+    dists(i) > dists(j) || (dists(i) == dists(j) && idArr(i) > idArr(j))
 
   @inline private def swap(i: Int, j: Int): Unit = {
     val td = dists(i); dists(i) = dists(j); dists(j) = td

@@ -28,20 +28,18 @@ object NaryBucket {
 /** The original ADSampling/BSA search strategy on horizontal storage:
   * vector-at-a-time, with the pruning bound evaluated every Δd dimensions,
   * interleaved with the distance computation (the branchy pattern §6.3
-  * profiles). τ tightens after every accepted vector.
+  * profiles). τ tightens after every accepted vector. Δd is
+  * `min(32, max(1, d/4))` of each bucket's d: the original's 32, shrunk
+  * for small d so the bound still gets a few chances to fire.
   *
   * Used as the N-ary side of Table 7 and the SIMD-ADS/BSA stand-in.
+  * `profiler`, when not null, counts operations (see [[SearchProfiler]]).
   */
-final class NarySearcher(val k: Int, val deltaD: Int = 32,
-                         profiler: SearchProfiler = null) {
+final class NarySearcher(val k: Int, profiler: SearchProfiler = null) {
 
   def search(buckets: IterableOnce[NaryBucket], rawQuery: Array[Float],
-             pruner: Pruner): KnnHeap = {
-    val t0 = if (profiler ne null) System.nanoTime() else 0L
-    val pq = pruner.prepareQuery(rawQuery)
-    if (profiler ne null) profiler.queryPrepNanos += System.nanoTime() - t0
-    searchPrepared(buckets, pq, new KnnHeap(k))
-  }
+             pruner: Pruner): KnnHeap =
+    searchPrepared(buckets, pruner.prepareQuery(rawQuery), new KnnHeap(k))
 
   def searchPrepared(buckets: IterableOnce[NaryBucket], pq: PreparedQuery,
                      heap: KnnHeap): KnnHeap = {
@@ -50,6 +48,8 @@ final class NarySearcher(val k: Int, val deltaD: Int = 32,
       val b = it.next()
       val q = pq.query
       val d = b.d
+      LinearScan.requireQueryDims(q, d)
+      val deltaD = math.min(32, math.max(1, d / 4))
       val stride = d + 1
       val suffix = b.suffixSqNorms
       val t0 = if (profiler ne null) System.nanoTime() else 0L
@@ -63,13 +63,13 @@ final class NarySearcher(val k: Int, val deltaD: Int = 32,
         var dv = 0
         var prunedV = false
         if (tau == Float.PositiveInfinity) {
-          partial = Kernels.l2Unrolled(b.data, o, q, d)
+          partial = Kernels.l2Unrolled(b.data, o, q, 0, d)
           dv = d
           dimValues += d
         } else {
           while (dv < d && !prunedV) {
             val nd = math.min(d, dv + deltaD)
-            partial += Kernels.l2PartialNary(b.data, o, q, dv, nd)
+            partial += Kernels.l2Unrolled(b.data, o, q, dv, nd)
             dimValues += nd - dv
             dv = nd
             if (dv < d) {
@@ -106,7 +106,7 @@ object LinearScan {
     val heap = new KnnHeap(k)
     var i = 0
     while (i < n) {
-      heap.push(i.toLong, Kernels.l2Unrolled(data, i * d, q, d))
+      heap.push(i.toLong, Kernels.l2Unrolled(data, i * d, q, 0, d))
       i += 1
     }
     heap
@@ -123,13 +123,19 @@ object LinearScan {
     heap
   }
 
+  /** Fails unless query `q` has the `d` dimensions of the vectors it is
+    * scored against: the kernels read `d` query values, so a longer query
+    * would be silently truncated and a shorter one read out of bounds.
+    */
+  def requireQueryDims(q: Array[Float], d: Int): Unit =
+    require(q.length == d, s"query has ${q.length} dimensions but the block has $d")
+
   /** Full distances of `q` to every vector of `block` into `acc(0 until n)`:
     * the one whole-block PDX scan (no pruning) that the linear scans,
     * PDXearch's START phase and IVF bucket selection share.
     */
   def scoreBlock(block: PdxBlock, q: Array[Float], acc: Array[Float]): Unit = {
-    require(q.length == block.d,
-            s"query has ${q.length} dimensions but the block has ${block.d}")
+    requireQueryDims(q, block.d)
     java.util.Arrays.fill(acc, 0, block.n, 0f)
     Kernels.l2Pdx(block.data, block.n, q, null, 0, block.d, acc)
   }
@@ -160,15 +166,15 @@ object LinearScan {
   }
 
   /** N-ary + on-the-fly gather scan (§7): PDX-style computation with
-    * strided loads from horizontal storage, 64 vectors at-a-time.
+    * strided loads from horizontal storage, one PDX block's worth of vectors
+    * (64) at-a-time.
     */
-  def gatherKnn(data: Array[Float], n: Int, d: Int, q: Array[Float], k: Int,
-                group: Int = 64): KnnHeap = {
+  def gatherKnn(data: Array[Float], n: Int, d: Int, q: Array[Float], k: Int): KnnHeap = {
     val heap = new KnnHeap(k)
-    val out = new Array[Float](group)
+    val out = new Array[Float](PdxLayout.DefaultBlockSize)
     var v0 = 0
     while (v0 < n) {
-      val count = math.min(group, n - v0)
+      val count = math.min(PdxLayout.DefaultBlockSize, n - v0)
       Kernels.l2NaryGather(data, v0, count, d, q, out)
       var i = 0
       while (i < count) { heap.push((v0 + i).toLong, out(i)); i += 1 }

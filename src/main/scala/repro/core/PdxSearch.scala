@@ -10,29 +10,23 @@ package repro.core
   *    ones included — random access would cost more than it saves while
   *    survivors are many) and evaluating the pruning bound in a separate
   *    loop after each step;
-  *  - PRUNE:  once the surviving fraction drops to `selThreshold` (20% sweet
-  *    spot, §6.6), positions of survivors are gathered and only those are
+  *  - PRUNE:  once the surviving fraction drops to 20% (the sweet spot of
+  *    §6.6), positions of survivors are gathered and only those are
   *    scanned for the remaining steps, re-compacting after each bound pass.
   *
   * Survivors that reach the last dimension carry their exact distance
   * (rotations preserve L2) and are merged into the heap, tightening τ for
-  * the following blocks. `adaptive = false` reproduces the fixed-Δd
-  * behaviour of the original ADSampling/BSA search (Issue #1, §2.4).
+  * the following blocks. The fixed-Δd search of the original ADSampling/BSA
+  * is [[NarySearcher]].
   *
-  * Instances hold reusable scratch buffers — single-threaded use only
-  * (create one searcher per thread/partition).
+  * `profiler`, when not null, accumulates distance and bound time and
+  * operation counts. Instances hold reusable scratch buffers —
+  * single-threaded use only (create one searcher per thread/partition).
   */
-final class PdxSearcher(
-    val k: Int,
-    val selThreshold: Double = 0.2,
-    val adaptive: Boolean = true,
-    val fixedStep: Int = 32,
-    val initialStep: Int = 2,
-    profiler: SearchProfiler = null
-) {
+final class PdxSearcher(val k: Int, profiler: SearchProfiler = null) {
   require(k > 0)
-  require(selThreshold > 0 && selThreshold <= 1.0)
 
+  private final val SelectivityThreshold = 0.2 // surviving fraction that starts PRUNE (§6.6)
   private var acc: Array[Float] = Array.emptyFloatArray
   private var pruned: Array[Int] = Array.emptyIntArray // 1 = pruned; int flags keep the predicate loops branchless
   private var positions: Array[Int] = Array.emptyIntArray
@@ -46,23 +40,18 @@ final class PdxSearcher(
 
   /** Search the given blocks in order (for IVF: nearest buckets first). */
   def search(blocks: IterableOnce[PdxBlock], rawQuery: Array[Float],
-             pruner: Pruner): KnnHeap = {
-    val t0 = if (profiler ne null) System.nanoTime() else 0L
-    val pq = pruner.prepareQuery(rawQuery)
-    if (profiler ne null) profiler.queryPrepNanos += System.nanoTime() - t0
-    searchPrepared(blocks, pq, new KnnHeap(k))
-  }
+             pruner: Pruner): KnnHeap =
+    searchPrepared(blocks, pruner.prepareQuery(rawQuery), new KnnHeap(k))
 
   /** Search with an already-prepared query, merging into `heap` (lets IVF
-    * time query prep / bucket selection separately and propagate τ).
+    * prepare the query once for bucket selection and propagate τ).
     */
   def searchPrepared(blocks: IterableOnce[PdxBlock], pq: PreparedQuery,
                      heap: KnnHeap): KnnHeap = {
     val it = blocks.iterator
     while (it.hasNext) {
       val block = it.next()
-      require(pq.query.length == block.d,
-              s"query has ${pq.query.length} dimensions but the block has ${block.d}")
+      LinearScan.requireQueryDims(pq.query, block.d)
       if (!heap.isFull) startBlock(block, pq, heap)
       else scanBlock(block, pq, heap)
     }
@@ -98,10 +87,8 @@ final class PdxSearcher(
     val stride = d + 1
     var aliveCount = n
     var visited = 0
-    var step =
-      if (adaptive) math.max(initialStep, math.min(pq.minPruneDims, d - 1))
-      else fixedStep
-    val cut = math.max(1.0, n * selThreshold)
+    var step = math.max(2, math.min(pq.minPruneDims, d - 1))
+    val cut = math.max(1.0, n * SelectivityThreshold)
 
     // ---- WARMUP: all vectors computed; bounds evaluated in a second loop.
     while (visited < d && aliveCount > cut) {
@@ -113,7 +100,7 @@ final class PdxSearcher(
         profiler.dimValuesScanned += n.toLong * (next - visited)
       }
       visited = next
-      if (adaptive) step *= 2
+      step *= 2
       if (visited < d) {
         t0 = if (profiler ne null) System.nanoTime() else 0L
         var i = 0
@@ -175,7 +162,7 @@ final class PdxSearcher(
         profiler.dimValuesScanned += posCount.toLong * (next - visited)
       }
       visited = next
-      if (adaptive) step *= 2
+      step *= 2
       if (visited < d) {
         t0 = if (profiler ne null) System.nanoTime() else 0L
         var w = 0

@@ -1,8 +1,10 @@
 package repro.core
 
-/** Wall-clock + operation-count instrumentation for the Table 7 query-time
-  * breakdown. Pass `null` where profiling is not wanted — all call sites
-  * guard on that, so the uninstrumented path has zero timing overhead.
+/** Wall-clock + operation-count instrumentation of one searcher, for the
+  * Table 7 query-time breakdown. Pass `null` where profiling is not wanted —
+  * all call sites guard on that, so the uninstrumented path has zero timing
+  * overhead. Query prep and bucket selection happen outside the searcher;
+  * their callers time them.
   *
   * PDXearch's loops are batched (one distance loop and one bounds loop per
   * step), so those are timed directly. The N-ary pruned search interleaves
@@ -11,8 +13,6 @@ package repro.core
   * (DESIGN.md, substitution #5).
   */
 final class SearchProfiler {
-  var queryPrepNanos: Long = 0L
-  var findBucketsNanos: Long = 0L
   var distanceNanos: Long = 0L
   var boundsNanos: Long = 0L
 
@@ -21,11 +21,4 @@ final class SearchProfiler {
 
   /** Total pruning-bound evaluations. */
   var boundEvals: Long = 0L
-
-  def reset(): Unit = {
-    queryPrepNanos = 0; findBucketsNanos = 0; distanceNanos = 0; boundsNanos = 0
-    dimValuesScanned = 0; boundEvals = 0
-  }
-
-  def totalNanos: Long = queryPrepNanos + findBucketsNanos + distanceNanos + boundsNanos
 }

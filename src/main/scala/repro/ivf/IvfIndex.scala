@@ -46,32 +46,27 @@ final class IvfIndex(
   lazy val naryBuckets: Array[NaryBucket] = blocks.map(NaryBucket.fromBlock)
 
   /** Centroid indices sorted by distance to the (search-space) query. */
-  def nearestBuckets(query: Array[Float], nprobe: Int,
-                     profiler: SearchProfiler = null, usePdx: Boolean = true): Array[Int] = {
-    val t0 = if (profiler ne null) System.nanoTime() else 0L
+  def nearestBuckets(query: Array[Float], nprobe: Int, usePdx: Boolean = true): Array[Int] = {
     val k = centroids.length
     val dists = new Array[Float](k)
     if (usePdx) {
       LinearScan.scoreBlock(centroidBlock, query, dists)
     } else {
+      LinearScan.requireQueryDims(query, d)
       var c = 0
-      while (c < k) { dists(c) = Kernels.l2Unrolled(centroidNary, c * d, query, d); c += 1 }
+      while (c < k) { dists(c) = Kernels.l2Unrolled(centroidNary, c * d, query, 0, d); c += 1 }
     }
     val order = Array.tabulate(k)(identity).sortBy(c => (dists(c), c))
-    val result = order.iterator.filter(bucketOf(_) >= 0).take(nprobe).toArray
-    if (profiler ne null) profiler.findBucketsNanos += System.nanoTime() - t0
-    result
+    order.iterator.filter(bucketOf(_) >= 0).take(nprobe).toArray
   }
 
   /** Full IVF query with PDXearch: prep query, pick nprobe buckets, search
     * blocks nearest-first. Returns sorted (id, distance) pairs.
     */
   def searchPdx(rawQuery: Array[Float], k: Int, nprobe: Int, pruner: Pruner,
-                searcher: PdxSearcher, profiler: SearchProfiler = null): IndexedSeq[(Long, Float)] = {
-    val t0 = if (profiler ne null) System.nanoTime() else 0L
+                searcher: PdxSearcher): IndexedSeq[(Long, Float)] = {
     val pq = pruner.prepareQuery(rawQuery)
-    if (profiler ne null) profiler.queryPrepNanos += System.nanoTime() - t0
-    val probes = nearestBuckets(pq.query, nprobe, profiler, usePdx = true)
+    val probes = nearestBuckets(pq.query, nprobe, usePdx = true)
     val heap = new KnnHeap(k)
     searcher.searchPrepared(probes.iterator.map(c => blocks(bucketOf(c))), pq, heap)
     heap.sorted
@@ -79,11 +74,9 @@ final class IvfIndex(
 
   /** Full IVF query with the horizontal (N-ary) pruned search. */
   def searchNary(rawQuery: Array[Float], k: Int, nprobe: Int, pruner: Pruner,
-                 searcher: NarySearcher, profiler: SearchProfiler = null): IndexedSeq[(Long, Float)] = {
-    val t0 = if (profiler ne null) System.nanoTime() else 0L
+                 searcher: NarySearcher): IndexedSeq[(Long, Float)] = {
     val pq = pruner.prepareQuery(rawQuery)
-    if (profiler ne null) profiler.queryPrepNanos += System.nanoTime() - t0
-    val probes = nearestBuckets(pq.query, nprobe, profiler, usePdx = false)
+    val probes = nearestBuckets(pq.query, nprobe, usePdx = false)
     val heap = new KnnHeap(k)
     searcher.searchPrepared(probes.iterator.map(c => naryBuckets(bucketOf(c))), pq, heap)
     heap.sorted
@@ -99,7 +92,7 @@ final class IvfIndex(
       val b = naryBuckets(bucketOf(c))
       var i = 0
       while (i < b.n) {
-        heap.push(b.ids(i), Kernels.l2Unrolled(b.data, i * b.d, query, b.d))
+        heap.push(b.ids(i), Kernels.l2Unrolled(b.data, i * b.d, query, 0, b.d))
         i += 1
       }
     }

@@ -24,7 +24,7 @@ object KMeans {
       var bestDist = Float.PositiveInfinity
       var c = 0
       while (c < k) {
-        val dist = Kernels.l2Unrolled(packed, c * d, v, d)
+        val dist = Kernels.l2Unrolled(packed, c * d, v, 0, d)
         if (dist < bestDist) { bestDist = dist; best = c }
         c += 1
       }

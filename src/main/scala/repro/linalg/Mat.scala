@@ -212,6 +212,9 @@ object Mat {
     Mat(d, d, cov)
   }
 
+  private final val EigenTolerance = 1e-10 // off-diagonal / matrix norm that ends the sweeps
+  private final val PcaSample = 4096
+
   /** Cyclic Jacobi eigendecomposition of a symmetric matrix.
     *
     * Returns (eigenvalues, eigenvectors-as-rows) sorted by eigenvalue
@@ -222,7 +225,7 @@ object Mat {
     * `maxSweeps` bounds cost at O(maxSweeps * d^3); for the PCA use case a
     * handful of sweeps concentrates energy far beyond what pruning needs.
     */
-  def symEigen(sym: Mat, maxSweeps: Int = 8, tol: Double = 1e-10): (Array[Double], Mat) = {
+  def symEigen(sym: Mat, maxSweeps: Int = 8): (Array[Double], Mat) = {
     require(sym.rows == sym.cols, "symEigen needs a square matrix")
     val d = sym.rows
     val m = sym.a.clone()
@@ -230,7 +233,7 @@ object Mat {
     var sweep = 0
     var off = offDiagNorm(m, d)
     val base = frobNorm(m, d)
-    while (sweep < maxSweeps && off > tol * (base + 1e-300)) {
+    while (sweep < maxSweeps && off > EigenTolerance * (base + 1e-300)) {
       var p = 0
       while (p < d - 1) {
         var q = p + 1
@@ -314,16 +317,16 @@ object Mat {
   }
 
   /** PCA rotation of a collection: rows are principal axes, most-variant
-    * first. Computed on a seeded subsample when the collection is large
-    * (covariance converges fast; Jacobi cost is D-bound anyway).
+    * first. Computed on a seeded subsample of 4096 when the collection is
+    * large (covariance converges fast; Jacobi cost is D-bound anyway).
     */
-  def pcaRotation(vectors: IndexedSeq[Array[Float]], maxSample: Int = 4096,
-                  seed: Long = 7, maxSweeps: Int = 8): Mat = {
+  def pcaRotation(vectors: IndexedSeq[Array[Float]], seed: Long = 7,
+                  maxSweeps: Int = 8): Mat = {
     val sample =
-      if (vectors.length <= maxSample) vectors
+      if (vectors.length <= PcaSample) vectors
       else {
         val rnd = new Random(seed)
-        IndexedSeq.fill(maxSample)(vectors(rnd.nextInt(vectors.length)))
+        IndexedSeq.fill(PcaSample)(vectors(rnd.nextInt(vectors.length)))
       }
     val (_, rot) = symEigen(covariance(sample), maxSweeps)
     rot

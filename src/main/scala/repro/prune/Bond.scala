@@ -11,15 +11,16 @@ import repro.core.{PreparedQuery, Pruner}
   *  - [[Bond.Sequential]]       storage order (baseline);
   *  - [[Bond.Decreasing]]       highest |query value| first (original BOND);
   *  - [[Bond.DistanceToMeans]]  largest |query − collection/block mean| first;
-  *  - [[Bond.DimensionZones]]   rank zones of consecutive dims by their mean
-  *    distance-to-means, visit best zones first (trades a little pruning
-  *    power for sequential stretches — the IVF-block setting of §5).
+  *  - [[Bond.DimensionZones]]   rank [[Bond.Zones]] zones of consecutive dims
+  *    by their mean distance-to-means, visit best zones first (trades a
+  *    little pruning power for sequential stretches — the IVF-block setting
+  *    of §5).
   *
   * No data transform and no preprocessing: the order is recomputed per
   * (query, block) from the block-mean metadata.
   */
-final class Bond(val d: Int, val criteria: Bond.Criteria = Bond.DistanceToMeans,
-                 val zones: Int = 16) extends Pruner {
+final class Bond(val d: Int, val criteria: Bond.Criteria = Bond.DistanceToMeans)
+    extends Pruner {
 
   val name = s"PDX-BOND(${criteria.label})"
   val isExact = true
@@ -53,7 +54,7 @@ final class Bond(val d: Int, val criteria: Bond.Criteria = Bond.DistanceToMeans,
       case Bond.DistanceToMeans =>
         sortDimsBy(d)(dim => math.abs(q(dim) - means(dim)))
       case Bond.DimensionZones =>
-        val nz = math.min(zones, d)
+        val nz = math.min(Bond.Zones, d)
         val zoneOf = (dim: Int) => math.min(nz - 1, dim * nz / d)
         val score = new Array[Double](nz)
         val cnt = new Array[Int](nz)
@@ -90,6 +91,8 @@ final class Bond(val d: Int, val criteria: Bond.Criteria = Bond.DistanceToMeans,
 }
 
 object Bond {
+  final val Zones = 16 // zone count of DimensionZones, capped at d
+
   sealed trait Criteria { def label: String }
   case object Sequential extends Criteria { val label = "sequential" }
   case object Decreasing extends Criteria { val label = "decreasing" }

@@ -93,13 +93,14 @@ object Bsa {
     * `multiplier` scales the learned quantile (1.0 = as learned).
     */
   def fit(vecs: IndexedSeq[Array[Float]], multiplier: Double = 1.0,
-          seed: Long = 7, maxSweeps: Int = 8, quantile: Double = 0.995,
-          samplePairs: Int = 512): Bsa =
-    fitInternal(vecs, multiplier, seed, maxSweeps, learn = true, quantile, samplePairs)
+          seed: Long = 7, maxSweeps: Int = 8): Bsa =
+    fitInternal(vecs, multiplier, seed, maxSweeps, learn = true)
+
+  private final val Quantile = 0.995 // of the residual cosine, per prefix length
+  private final val SamplePairs = 512 // near-neighbour pairs it is learned from
 
   private def fitInternal(vecs: IndexedSeq[Array[Float]], multiplier: Double,
-                          seed: Long, maxSweeps: Int, learn: Boolean,
-                          quantile: Double = 0.995, samplePairs: Int = 512): Bsa = {
+                          seed: Long, maxSweeps: Int, learn: Boolean): Bsa = {
     require(vecs.nonEmpty)
     val d = vecs.head.length
     val mean = PdxLayout.globalMeans(vecs)
@@ -107,7 +108,7 @@ object Bsa {
     val proto = new Bsa(d, Double.PositiveInfinity, basis, mean, new Array[Float](d + 1))
     val cq =
       if (!learn) Array.fill(d + 1)(1f)
-      else learnCosQuantiles(proto, vecs, seed, quantile, samplePairs)
+      else learnCosQuantiles(proto, vecs, seed)
     new Bsa(d, multiplier, basis, mean, cq)
   }
 
@@ -122,23 +123,23 @@ object Bsa {
     * them and collapse recall under per-vector-tightened thresholds.
     */
   private def learnCosQuantiles(proto: Bsa, vecs: IndexedSeq[Array[Float]],
-                                seed: Long, quantile: Double, samplePairs: Int): Array[Float] = {
+                                seed: Long): Array[Float] = {
     val d = proto.d
     val rnd = new java.util.Random(seed * 31 + 11)
-    val poolSize = math.min(vecs.length, math.max(64, samplePairs))
-    if (poolSize < 2) return Array.fill(d + 1)(1f)
-    val pool = IndexedSeq.fill(poolSize)(proto.transformVector(vecs(rnd.nextInt(vecs.length))))
-    val nPairs = math.min(samplePairs, poolSize)
+    // One pair per pool point: the point and its nearest pool neighbour.
+    val nPairs = math.min(vecs.length, SamplePairs)
+    if (nPairs < 2) return Array.fill(d + 1)(1f)
+    val pool = IndexedSeq.fill(nPairs)(proto.transformVector(vecs(rnd.nextInt(vecs.length))))
     val cosines = Array.ofDim[Float](d + 1, nPairs)
     var p = 0
     while (p < nPairs) {
-      val a = pool(p % poolSize)
+      val a = pool(p)
       // Nearest neighbour of `a` within the pool (excluding itself).
       var best = -1
       var bestDist = Double.PositiveInfinity
       var t = 0
-      while (t < poolSize) {
-        if (t != p % poolSize) {
+      while (t < nPairs) {
+        if (t != p) {
           val dist = repro.core.Kernels.l2Ref(pool(t), a)
           if (dist < bestDist) { bestDist = dist; best = t }
         }
@@ -162,11 +163,11 @@ object Bsa {
       p += 1
     }
     Array.tabulate(d + 1) { dv =>
-      if (dv == d || nPairs == 0) 1f
+      if (dv == d) 1f
       else {
         val xs = cosines(dv).clone()
         java.util.Arrays.sort(xs)
-        val idx = math.min(nPairs - 1, math.max(0, (quantile * (nPairs - 1)).round.toInt))
+        val idx = math.min(nPairs - 1, math.max(0, (Quantile * (nPairs - 1)).round.toInt))
         math.min(1f, math.max(0f, xs(idx)))
       }
     }

@@ -130,9 +130,9 @@ class KernelsSpec extends AnyFunSuite {
     val nary = PdxLayout.packNary(vecs)
     vecs.indices.foreach { i =>
       val full = Kernels.l2Scalar(nary, i * d, q, d)
-      val parts = Kernels.l2PartialNary(nary, i * d, q, 0, 13) +
-        Kernels.l2PartialNary(nary, i * d, q, 13, 37) +
-        Kernels.l2PartialNary(nary, i * d, q, 37, d)
+      val parts = Kernels.l2Unrolled(nary, i * d, q, 0, 13) +
+        Kernels.l2Unrolled(nary, i * d, q, 13, 37) +
+        Kernels.l2Unrolled(nary, i * d, q, 37, d)
       assert(math.abs(full - parts) <= relTol(full, d))
     }
   }
@@ -188,7 +188,7 @@ class KernelsSpec extends AnyFunSuite {
         val acc = new Array[Float](b.n)
         Kernels.l2Pdx(b.data, b.n, q, null, 0, d, acc)
         (0 until b.n).foreach { i =>
-          val h = Kernels.l2Unrolled(nary, idx * d, q, d)
+          val h = Kernels.l2Unrolled(nary, idx * d, q, 0, d)
           assert(math.abs(acc(i) - h) <= 1e-2 * (1 + math.abs(h)))
           idx += 1
         }
@@ -208,7 +208,7 @@ class KernelsSpec extends AnyFunSuite {
 
   test("L2 of identical vectors is zero, L1 of identical vectors is zero") {
     val v = VectorData.gaussian(1, 77, seed = 50).head
-    assert(Kernels.l2Unrolled(v, 0, v, 77) == 0f)
+    assert(Kernels.l2Unrolled(v, 0, v, 0, 77) == 0f)
     assert(Kernels.l1Unrolled(v, 0, v, 77) == 0f)
   }
 }

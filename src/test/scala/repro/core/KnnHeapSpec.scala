@@ -27,6 +27,15 @@ class KnnHeapSpec extends AnyFunSuite {
     assert(h.idsSorted == Seq(1L, 2L))
   }
 
+  test("equal distance with a smaller id evicts the top") {
+    val h = new KnnHeap(2)
+    h.push(5, 1f); h.push(4, 2f)
+    h.push(3, 2f)
+    assert(h.sorted == Seq((5L, 1f), (3L, 2f)))
+    h.push(2, 1f); h.push(1, 1f)
+    assert(h.sorted == Seq((1L, 1f), (2L, 1f)))
+  }
+
   test("k larger than inserts keeps everything") {
     val h = new KnnHeap(10)
     h.push(1, 3f); h.push(2, 1f)

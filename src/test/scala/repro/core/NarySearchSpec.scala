@@ -22,15 +22,15 @@ class NarySearchSpec extends AnyFunSuite {
     }
   }
 
-  for (deltaD <- Seq(1, 8, 32)) {
+  // Δd = d/4 (capped at 32): these d give Δd = 1, 8 and 32.
+  for ((d, deltaD) <- Seq(4 -> 1, 32 -> 8, 128 -> 32)) {
     test(s"NarySearcher + PartialDistance is exact (deltaD=$deltaD)") {
-      val d = 40
       val ds = clustered(600, d, seed = 5)
       val buckets = Seq(
         NaryBucket.pack(ds.vectors.take(300), ds.ids.take(300)),
         NaryBucket.pack(ds.vectors.drop(300), ds.ids.drop(300))
       )
-      val searcher = new NarySearcher(10, deltaD)
+      val searcher = new NarySearcher(10)
       ds.queries.foreach { q =>
         val heap = searcher.search(buckets, q, Pruner.PartialDistance(d))
         TestUtil.assertExactKnn(heap.sorted, ds.vectors, q, 10)
@@ -44,7 +44,7 @@ class NarySearchSpec extends AnyFunSuite {
     val bsa = Bsa.fitExact(ds.vectors)
     val space = bsa.transformData(ds.vectors)
     val bucket = NaryBucket.pack(space, ds.ids, withSuffixNorms = true)
-    val searcher = new NarySearcher(10, 8)
+    val searcher = new NarySearcher(10)
     ds.queries.foreach { q =>
       val heap = searcher.search(Seq(bucket), q, bsa)
       TestUtil.assertExactKnn(heap.sorted, ds.vectors, q, 10)
@@ -58,7 +58,7 @@ class NarySearchSpec extends AnyFunSuite {
     val space = ads.transformData(ds.vectors)
     val bucket = NaryBucket.pack(space, ds.ids)
     val gt = VectorData.groundTruth(ds.vectors, ds.queries, 10)
-    val searcher = new NarySearcher(10, 16)
+    val searcher = new NarySearcher(10)
     val recalls = ds.queries.indices.map { qi =>
       VectorData.recall(searcher.search(Seq(bucket), ds.queries(qi), ads).idsSorted, gt(qi))
     }
@@ -71,7 +71,7 @@ class NarySearchSpec extends AnyFunSuite {
     val nb = NaryBucket.pack(ds.vectors, ds.ids)
     val pb = PdxLayout.pack(ds.vectors, ds.ids, 64)
     val q = ds.queries.head
-    val a = new NarySearcher(10, 8).search(Seq(nb), q, Pruner.PartialDistance(d)).idsSorted
+    val a = new NarySearcher(10).search(Seq(nb), q, Pruner.PartialDistance(d)).idsSorted
     val b = new PdxSearcher(10).search(pb, q, Pruner.PartialDistance(d)).idsSorted
     assert(a.toSet == b.toSet)
   }
@@ -80,7 +80,7 @@ class NarySearchSpec extends AnyFunSuite {
     val d = 48
     val ds = clustered(800, d, seed = 15)
     val prof = new SearchProfiler
-    val searcher = new NarySearcher(10, 16, profiler = prof)
+    val searcher = new NarySearcher(10, prof)
     val bucket = NaryBucket.pack(ds.vectors, ds.ids)
     searcher.search(Seq(bucket), ds.queries.head, Pruner.PartialDistance(d))
     assert(prof.dimValuesScanned > 0 && prof.dimValuesScanned <= 800L * d)

@@ -137,27 +137,65 @@ class PdxSearchSpec extends AnyFunSuite {
     assert(firstAsked >= 16, s"first bound asked at dv=$firstAsked")
   }
 
-  test("fixed-step PDXearch (adaptive=false) is still exact with exact pruners") {
-    val d = 40
-    val ds = clustered(600, d, seed = 29)
+  test("PDXearch is exact through both block exits: WARMUP to the last dimension, and PRUNE") {
+    // Block by block, with the heap carried over: a block that went through
+    // WARMUP/PRUNE evaluated bounds; it scanned all n*d values iff it stayed
+    // in WARMUP to the last dimension (PRUNE skips the pruned vectors).
+    val d = 30
+    val ds = clustered(500, d, seed = 31)
     val blocks = PdxLayout.pack(ds.vectors, ds.ids, 64)
-    val searcher = new PdxSearcher(10, adaptive = false, fixedStep = 8)
-    ds.queries.foreach { q =>
-      val heap = searcher.search(blocks, q, new Bond(d, Bond.DistanceToMeans))
-      TestUtil.assertExactKnn(heap.sorted, ds.vectors, q, 10)
+    val prof = new SearchProfiler
+    val searcher = new PdxSearcher(5, prof)
+    var warmupExits = 0
+    var pruneExits = 0
+    for (q <- ds.queries; pruner <- Seq(new Bond(d, Bond.DistanceToMeans), Pruner.NeverPrune(d))) {
+      val pq = pruner.prepareQuery(q)
+      val heap = new KnnHeap(5)
+      blocks.foreach { b =>
+        val (dims0, evals0) = (prof.dimValuesScanned, prof.boundEvals)
+        searcher.searchPrepared(Iterator.single(b), pq, heap)
+        if (prof.boundEvals > evals0) {
+          if (prof.dimValuesScanned - dims0 == b.n.toLong * d) warmupExits += 1
+          else pruneExits += 1
+        }
+      }
+      TestUtil.assertExactKnn(heap.sorted, ds.vectors, q, 5)
     }
+    assert(warmupExits > 0 && pruneExits > 0, s"warmup=$warmupExits prune=$pruneExits")
   }
 
   for (sel <- Seq(0.05, 0.2, 0.5, 1.0)) {
     test(s"selectivity threshold $sel preserves exactness") {
-      val d = 30
-      val ds = clustered(500, d, seed = 31)
-      val blocks = PdxLayout.pack(ds.vectors, ds.ids, 64)
-      val searcher = new PdxSearcher(5, selThreshold = sel)
-      ds.queries.foreach { q =>
-        val heap = searcher.search(blocks, q, new Bond(d, Bond.DistanceToMeans))
-        TestUtil.assertExactKnn(heap.sorted, ds.vectors, q, 5)
+      // WARMUP switches to PRUNE once at most 20% of a block survives. Here a
+      // fraction `sel` of every block after the first survives the first bound
+      // pass: the others are pruned by their first coordinate, and the
+      // survivors stay below τ to the last dimension (each block is nearer
+      // than the one before). So the block exits through PRUNE iff sel <= 0.2.
+      val (d, bs, k, nBlocks) = (16, 100, 5, 4)
+      val near = math.round(sel * bs).toInt
+      val vecs = (0 until nBlocks * bs).map { id =>
+        val (b, i) = (id / bs, id % bs)
+        if (b == 0) Array.fill(d)(1f)
+        else if (i < near) Array.fill(d)((1.0 / (b + 1) * (1 - 0.001 * i)).toFloat)
+        else Array.tabulate(d)(j => if (j == 0) 10f else 0f)
       }
+      val blocks = PdxLayout.pack(vecs, vecs.indices.map(_.toLong), bs)
+      assert(blocks.map(_.n) == Seq.fill(nBlocks)(bs))
+      val q = new Array[Float](d)
+      val prof = new SearchProfiler
+      val searcher = new PdxSearcher(k, prof)
+      val pq = Pruner.PartialDistance(d).prepareQuery(q)
+      val heap = new KnnHeap(k)
+      blocks.zipWithIndex.foreach { case (b, bi) =>
+        val dims0 = prof.dimValuesScanned
+        searcher.searchPrepared(Iterator.single(b), pq, heap)
+        val scanned = prof.dimValuesScanned - dims0
+        if (bi > 0) {
+          if (sel <= 0.2) assert(scanned < bs.toLong * d, s"block $bi stayed in WARMUP")
+          else assert(scanned == bs.toLong * d, s"block $bi left WARMUP early")
+        }
+      }
+      TestUtil.assertExactKnn(heap.sorted, vecs, q, k)
     }
   }
 
@@ -204,8 +242,19 @@ class PdxSearchSpec extends AnyFunSuite {
     assert(prof.dimValuesScanned > 0)
     assert(prof.dimValuesScanned <= 2000L * d)
     assert(prof.boundEvals > 0)
-    prof.reset()
-    assert(prof.totalNanos == 0 && prof.dimValuesScanned == 0)
+  }
+
+  test("duplicate vectors: the k smallest ids win in any block order") {
+    // Integer coordinates make every distance exact, so all n distances are
+    // equal whatever order the dimensions are summed in.
+    val (n, d, k) = (300, 16, 10)
+    val vecs = IndexedSeq.fill(n)(Array.tabulate(d)(j => (j % 5).toFloat))
+    val q = Array.tabulate(d)(j => (j % 3).toFloat)
+    val blocks = PdxLayout.pack(vecs, (0 until n).map(_.toLong), 64)
+    for (order <- Seq(blocks, blocks.reverse)) {
+      assert(LinearScan.pdxKnn(order, q, k).idsSorted == (0L until k))
+      assert(new PdxSearcher(k).search(order, q, new Bond(d)).idsSorted == (0L until k))
+    }
   }
 
   test("pruning reduces scanned dimension values vs linear scan on clustered data") {

@@ -161,7 +161,7 @@ class IvfSpec extends AnyFunSuite {
                                    withSuffixNorms = false)
     val gt = VectorData.groundTruth(ds.vectors, ds.queries, 10)
     val pdxS = new PdxSearcher(10)
-    val naryS = new NarySearcher(10, 16)
+    val naryS = new NarySearcher(10)
     val (pdxR, naryR) = ds.queries.indices.map { qi =>
       val q = ds.queries(qi)
       val a = VectorData.recall(idx.searchPdx(q, 10, 12, ads, pdxS).map(_._1), gt(qi))
@@ -183,10 +183,30 @@ class IvfSpec extends AnyFunSuite {
                                    part.rawCentroids.map(bsa.transformVector),
                                    withSuffixNorms = true)
     val pdxS = new PdxSearcher(10)
-    val naryS = new NarySearcher(10, 8)
+    val naryS = new NarySearcher(10)
     ds.queries.foreach { q =>
       TestUtil.assertExactKnn(idx.searchPdx(q, 10, 8, bsa, pdxS), ds.vectors, q, 10)
       TestUtil.assertExactKnn(idx.searchNary(q, 10, 8, bsa, naryS), ds.vectors, q, 10)
+    }
+  }
+
+  test("N-ary IVF paths reject a query of the wrong dimensionality") {
+    val d = 12
+    val ds = clustered(200, d, seed = 45)
+    val part = Ivf.partition(ds.vectors, nlist = 4)
+    val idx = IvfIndex.materialize(part, ds.vectors, ds.ids, part.rawCentroids, withSuffixNorms = false)
+    val searcher = new NarySearcher(10)
+    for (len <- Seq(d - 1, d + 1)) {
+      val q = VectorData.gaussian(1, len, seed = len.toLong).head
+      val pruner = Pruner.PartialDistance(len)
+      val calls = Seq[() => Any](
+        () => idx.searchNary(q, 10, 4, pruner, searcher),
+        () => idx.searchLinear(q, 10, 4),
+        () => searcher.search(idx.naryBuckets.toSeq, q, pruner))
+      calls.foreach { call =>
+        val e = intercept[IllegalArgumentException](call())
+        assert(e.getMessage.contains(s"query has $len dimensions but the block has $d"))
+      }
     }
   }
 

@@ -210,12 +210,13 @@ class PrunerSpec extends AnyFunSuite {
   }
 
   test("DimensionZones keeps zones contiguous and ranks them by score") {
-    val d = 8
+    val d = 32
     val q = new Array[Float](d)
-    // Means far from q in dims 4..7 — second zone should come first with 2 zones.
-    val means = Array(0f, 0f, 0f, 0f, 9f, 9f, 9f, 9f)
-    val order = new Bond(d, Bond.DimensionZones, zones = 2).prepareQuery(q).order(means)
-    assert(order.toSeq == Seq(4, 5, 6, 7, 0, 1, 2, 3))
+    // 16 zones of 2 dims; zone z's means are z away from q, so zones are
+    // visited last-first, each as one contiguous pair.
+    val means = Array.tabulate(d)(dim => (dim / 2).toFloat)
+    val order = new Bond(d, Bond.DimensionZones).prepareQuery(q).order(means)
+    assert(order.toSeq == (15 to 0 by -1).flatMap(z => Seq(2 * z, 2 * z + 1)))
   }
 
   test("Bond bound is the partial distance itself") {

@@ -63,6 +63,23 @@ class PdxSparkSpec extends SparkSpec {
     blocks.unpersist()
   }
 
+  test("duplicate vectors: knnExact and knnBond return the k smallest ids (1 and 3 partitions)") {
+    // Integer coordinates make all distances exactly equal; rows arrive in
+    // descending id order, so a first-seen-wins heap would keep large ids.
+    import spark.implicits._
+    val (n, d, k) = (300, 16, 10)
+    val v = Array.tabulate(d)(j => (j % 5).toFloat)
+    val q = Array.tabulate(d)(j => (j % 3).toFloat)
+    for (parts <- Seq(1, 3)) {
+      val rows = (n - 1 to 0 by -1).map(i => (i.toLong, v))
+      val df = spark.sparkContext.parallelize(rows, parts).toDF("id", "vec")
+      val blocks = PdxSpark.pack(df, 64).cache()
+      assert(PdxSpark.knnExact(blocks, q, k).collect().map(_.getLong(0)).toSeq == (0L until k))
+      assert(PdxSpark.knnBond(blocks, q, k).collect().map(_.getLong(0)).toSeq == (0L until k))
+      blocks.unpersist()
+    }
+  }
+
   test("knnExact and knnBond reject a wrong-length query and a non-positive k") {
     val df = PdxSpark.toVectorDF(spark, ds.vectors.take(200), numPartitions = 2)
     val blocks = PdxSpark.pack(df, 64).cache()
