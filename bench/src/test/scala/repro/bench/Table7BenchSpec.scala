@@ -8,7 +8,7 @@ import org.scalatest.funsuite.AnyFunSuite
 class Table7BenchSpec extends AnyFunSuite {
 
   test("Table 7: query runtime breakdown") {
-    val (table, rows) = BreakdownBench.run(BenchConfig.breakdownSpec, targetRecall = 0.99)
+    val (table, rows) = BreakdownBench.run(BenchConfig.breakdownSpec, targetRecall = BenchConfig.breakdownTargetRecall)
     BenchUtil.report("table7_breakdown", table)
 
     val byName = rows.map(r => r.name -> r).toMap

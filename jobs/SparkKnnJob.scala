@@ -1,7 +1,8 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.SynthData
+import repro.data.VectorData
+import repro.data.VectorData.DatasetSpec
 import repro.prune.Bond
 import repro.spark.PdxSpark
 
@@ -13,11 +14,14 @@ import repro.spark.PdxSpark
   * Prints the build time (generate, pack and cache the blocks) and, after
   * one untimed query, the latency of a warm query over the cached blocks.
   *
+  * The data are `VectorData`'s seeded clustered Gaussians (64 clusters); the
+  * query is the generator's first query.
+  *
   * Args: [nVectors] [dims] [k]  (defaults 100000 64 10)
   */
 object SparkKnnJob {
   def main(args: Array[String]): Unit = {
-    val n = if (args.length > 0) args(0).toLong else 100000L
+    val n = if (args.length > 0) args(0).toInt else 100000
     val d = if (args.length > 1) args(1).toInt else 64
     val k = if (args.length > 2) args(2).toInt else 10
     val spark = SparkSession.builder
@@ -25,12 +29,13 @@ object SparkKnnJob {
       .appName("pdx-knn")
       .getOrCreate()
     try {
-      val df = SynthData.embeddings(spark, n, d, clusters = 64, seed = 42)
       val t0 = System.nanoTime()
+      val ds = VectorData.generate(DatasetSpec("synth", d, n, 1, skewed = false, seed = 42))
+      val df = PdxSpark.toVectorDF(spark, ds.vectors, spark.sparkContext.defaultParallelism)
       val blocks = PdxSpark.pack(df, blockSize = 64).cache()
       blocks.count()
       val buildMs = (System.nanoTime() - t0) / 1e6
-      val query = df.orderBy("id").first().getSeq[Float](1).toArray
+      val query = ds.queries.head
       def knn() = PdxSpark.knnBond(blocks, query, k, Bond.DistanceToMeans).collect()
       knn()
       val t1 = System.nanoTime()

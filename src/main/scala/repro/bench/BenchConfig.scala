@@ -41,4 +41,7 @@ object BenchConfig {
     * (O(D²)) would drown the scan shares the paper reports.
     */
   def breakdownSpec: DatasetSpec = catalog.last.copy(n = 20000)
+
+  /** Recall@10 the Table 7 nprobe is tuned to (`Table7BenchSpec`, `Table7Job`). */
+  val breakdownTargetRecall = 0.99
 }

@@ -7,9 +7,11 @@ import repro.prune.{AdSampling, Bsa}
 
 /** Memoized datasets and pruner search spaces. Building a D=1536 rotation
   * (Gram–Schmidt or Jacobi) and rotating 10K vectors costs tens of seconds,
-  * and several tables share the same datasets — the whole bench run lives in
-  * one forked JVM, so a process-wide cache keeps the total runtime sane.
-  * Keys include the full spec so test-scale and bench-scale coexist.
+  * and the tables of one suite share datasets, so a process-wide cache
+  * keeps the runtime sane. build.sbt forks one JVM per bench suite, so the
+  * cache lives for one bench suite (or for the whole root test run, which
+  * shares one JVM). Keys include the full spec so test-scale and
+  * bench-scale coexist.
   */
 object DatasetCache {
 
@@ -44,8 +46,4 @@ object DatasetCache {
       val ds = dataset(spec)
       VectorData.groundTruth(ds.vectors, ds.queries, k)
     }))
-
-  def clear(): Unit = synchronized {
-    datasets.clear(); adsSpaces.clear(); bsaSpaces.clear(); truths.clear()
-  }
 }

@@ -15,8 +15,11 @@ trait PreparedQuery {
   /** The query mapped into search space (rotated for ADSampling/BSA). */
   def query: Array[Float]
 
-  /** Query-aware dimension visit order given per-block dimension means;
-    * `null` means sequential access (ADSampling, BSA).
+  /** Query-aware dimension visit order given dimension means; `null`
+    * means sequential access (ADSampling, BSA). A pure function of `means`:
+    * a search asks for it once and visits every block in that order
+    * (PDXearch passes the means of the first block it prunes,
+    * `PruningPower` the collection means).
     */
   def order(means: Array[Float]): Array[Int]
 
@@ -61,11 +64,18 @@ trait Pruner extends Serializable {
     */
   def isExact: Boolean
 
-  /** Map the collection into search space (identity for raw-space pruners). */
-  def transformData(vecs: IndexedSeq[Array[Float]]): IndexedSeq[Array[Float]] = vecs
-
-  /** Map one raw-space vector into search space (used for centroids). */
+  /** Map one raw-space vector into search space (identity for raw-space
+    * pruners). Pruners that transform check the vector's length here.
+    */
   def transformVector(v: Array[Float]): Array[Float] = v
+
+  /** Map the collection into search space, one [[transformVector]] per
+    * vector; when every vector maps to itself, `vecs` itself is returned.
+    */
+  final def transformData(vecs: IndexedSeq[Array[Float]]): IndexedSeq[Array[Float]] = {
+    val out = vecs.map(transformVector)
+    if (out.corresponds(vecs)(_ eq _)) vecs else out
+  }
 
   def prepareQuery(q: Array[Float]): PreparedQuery
 }

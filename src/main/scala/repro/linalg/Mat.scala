@@ -331,8 +331,4 @@ object Mat {
     val (_, rot) = symEigen(covariance(sample), maxSweeps)
     rot
   }
-
-  /** Apply a D x D rotation to every vector of a collection (float I/O). */
-  def rotateAll(rot: Mat, vectors: IndexedSeq[Array[Float]]): IndexedSeq[Array[Float]] =
-    vectors.map(rot.mulVecF)
 }

@@ -1,6 +1,6 @@
 package repro.prune
 
-import repro.core.{PreparedQuery, Pruner}
+import repro.core.{LinearScan, PreparedQuery, Pruner}
 import repro.linalg.Mat
 
 /** ADSampling [Gao & Long 2023]: random orthogonal projection of the
@@ -41,13 +41,13 @@ final class AdSampling(val d: Int, val epsilon0: Double = 2.1, seed: Long = 17)
     f
   }
 
-  override def transformData(vecs: IndexedSeq[Array[Float]]): IndexedSeq[Array[Float]] =
-    Mat.rotateAll(rotation, vecs)
-
-  override def transformVector(v: Array[Float]): Array[Float] = rotation.mulVecF(v)
+  override def transformVector(v: Array[Float]): Array[Float] = {
+    LinearScan.requireQueryDims(v, d)
+    rotation.mulVecF(v)
+  }
 
   def prepareQuery(q: Array[Float]): PreparedQuery = {
-    val rotated = rotation.mulVecF(q)
+    val rotated = transformVector(q)
     new PreparedQuery {
       val query: Array[Float] = rotated
       def order(means: Array[Float]): Array[Int] = null

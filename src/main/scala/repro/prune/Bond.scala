@@ -16,8 +16,13 @@ import repro.core.{PreparedQuery, Pruner}
   *    little pruning power for sequential stretches — the IVF-block setting
   *    of §5).
   *
-  * No data transform and no preprocessing: the order is recomputed per
-  * (query, block) from the block-mean metadata.
+  * No data transform and no preprocessing. The order is ranked once per
+  * search, from the first pruned block's means (§5, Table 7: PDX-BOND
+  * "query preprocessing — computing the order in which dimensions are
+  * accessed — is almost free"). Any permutation is correct, because the
+  * bound is the partial distance; reusing one order across a search's
+  * blocks costs pruning power only when block means diverge wildly, and
+  * avoids a per-block sort.
   */
 final class Bond(val d: Int, val criteria: Bond.Criteria = Bond.DistanceToMeans)
     extends Pruner {
@@ -30,24 +35,7 @@ final class Bond(val d: Int, val criteria: Bond.Criteria = Bond.DistanceToMeans)
 
     override def isPartialBound: Boolean = true
 
-    // The order is ranked ONCE per query, from the first block statistics
-    // seen (§5, Table 7: PDX-BOND "query preprocessing — computing the
-    // order in which dimensions are accessed — is almost free"). Any
-    // permutation is correct (the bound is the partial distance), so
-    // reusing it across a search's blocks costs pruning power only when
-    // block means diverge wildly — and avoids a per-block sort.
-    private var orderComputed = false
-    private var cachedOrder: Array[Int] = _
-
-    def order(means: Array[Float]): Array[Int] = {
-      if (!orderComputed) {
-        cachedOrder = computeOrder(means)
-        orderComputed = true
-      }
-      cachedOrder
-    }
-
-    private def computeOrder(means: Array[Float]): Array[Int] = criteria match {
+    def order(means: Array[Float]): Array[Int] = criteria match {
       case Bond.Sequential => null
       case Bond.Decreasing =>
         sortDimsBy(d)(dim => math.abs(q(dim)))

@@ -1,6 +1,6 @@
 package repro.prune
 
-import repro.core.{PdxLayout, PreparedQuery, Pruner}
+import repro.core.{LinearScan, PdxLayout, PreparedQuery, Pruner}
 import repro.linalg.Mat
 
 /** BSA [Yang et al. 2024] reproduction: PCA projection of the collection
@@ -60,14 +60,13 @@ final class Bsa(val d: Int, val multiplier: Double,
     out
   }
 
-  override def transformData(vecs: IndexedSeq[Array[Float]]): IndexedSeq[Array[Float]] =
-    vecs.map(transformVector)
-
-  override def transformVector(v: Array[Float]): Array[Float] =
+  override def transformVector(v: Array[Float]): Array[Float] = {
+    LinearScan.requireQueryDims(v, d)
     basis.mulVecF(center(v))
+  }
 
   def prepareQuery(q: Array[Float]): PreparedQuery = {
-    val rotated = basis.mulVecF(center(q))
+    val rotated = transformVector(q)
     val qs = PdxLayout.querySuffixSqNorms(rotated)
     new PreparedQuery {
       val query: Array[Float] = rotated

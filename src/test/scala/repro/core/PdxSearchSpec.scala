@@ -137,6 +137,37 @@ class PdxSearchSpec extends AnyFunSuite {
     assert(firstAsked >= 16, s"first bound asked at dv=$firstAsked")
   }
 
+  test("PDXearch asks for the dimension order once per search") {
+    // 10 blocks of 30: the first fills the heap, the other nine are pruned.
+    val d = 16
+    val ds = clustered(300, d, seed = 59)
+    val blocks = PdxLayout.pack(ds.vectors, ds.ids, 30)
+    var orderCalls = 0
+    val probe = new Pruner {
+      val name = "order-probe"
+      val isExact = true
+      val d: Int = 16
+      def prepareQuery(q: Array[Float]): PreparedQuery = new PreparedQuery {
+        val query: Array[Float] = q
+        def order(means: Array[Float]): Array[Int] = {
+          orderCalls += 1
+          Array.tabulate(d)(j => d - 1 - j)
+        }
+        def bound(partial: Float, dimsVisited: Int, vecSuffixSq: Float): Float = partial
+      }
+    }
+    ds.queries.take(3).foreach { q =>
+      orderCalls = 0
+      val heap = new PdxSearcher(5).search(blocks, q, probe)
+      assert(orderCalls == 1)
+      TestUtil.assertExactKnn(heap.sorted, ds.vectors, q, 5)
+    }
+    // No block is pruned when the heap never fills: no order is needed.
+    orderCalls = 0
+    new PdxSearcher(400).search(blocks, ds.queries.head, probe)
+    assert(orderCalls == 0)
+  }
+
   test("PDXearch is exact through both block exits: WARMUP to the last dimension, and PRUNE") {
     // Block by block, with the heap carried over: a block that went through
     // WARMUP/PRUNE evaluated bounds; it scanned all n*d values iff it stayed

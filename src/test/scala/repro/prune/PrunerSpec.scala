@@ -182,6 +182,19 @@ class PrunerSpec extends AnyFunSuite {
     assert(pcaFrac > rawFrac, s"pca=$pcaFrac raw=$rawFrac")
   }
 
+  test("ADSampling and BSA reject a vector of the wrong dimensionality") {
+    val d = 16
+    val ads = new AdSampling(d, seed = 37)
+    val bsa = Bsa.fitExact(VectorData.gaussian(200, d, seed = 38))
+    for (pruner <- Seq[Pruner](ads, bsa); len <- Seq(d - 1, d + 1)) {
+      val v = VectorData.gaussian(1, len, seed = len.toLong).head
+      val e1 = intercept[IllegalArgumentException](pruner.prepareQuery(v))
+      assert(e1.getMessage.contains(s"query has $len dimensions but the block has $d"), pruner.name)
+      val e2 = intercept[IllegalArgumentException](pruner.transformData(IndexedSeq(v)))
+      assert(e2.getMessage.contains(s"query has $len dimensions but the block has $d"), pruner.name)
+    }
+  }
+
   // ---------------- PDX-BOND ----------------
 
   test("Bond orders are permutations of dimensions") {
@@ -217,6 +230,15 @@ class PrunerSpec extends AnyFunSuite {
     val means = Array.tabulate(d)(dim => (dim / 2).toFloat)
     val order = new Bond(d, Bond.DimensionZones).prepareQuery(q).order(means)
     assert(order.toSeq == (15 to 0 by -1).flatMap(z => Seq(2 * z, 2 * z + 1)))
+  }
+
+  test("Bond order is a pure function of the means it is given") {
+    // The same prepared query asked twice answers each call from its own
+    // means; ranking once per search is the searcher's job.
+    val pq = new Bond(4, Bond.DistanceToMeans).prepareQuery(Array(0f, 1f, 2f, 3f))
+    assert(pq.order(new Array[Float](4)).toSeq == Seq(3, 2, 1, 0))
+    assert(pq.order(Array.fill(4)(3f)).toSeq == Seq(0, 1, 2, 3))
+    assert(pq.order(new Array[Float](4)).toSeq == Seq(3, 2, 1, 0))
   }
 
   test("Bond bound is the partial distance itself") {

@@ -122,17 +122,4 @@ class PdxSparkSpec extends SparkSpec {
     val gt = VectorData.groundTruth(vecs.toIndexedSeq, IndexedSeq(q), 10).head.toSet
     assert(res == gt)
   }
-
-  test("knnExact works with SynthData.embeddings input") {
-    val df = repro.SynthData.embeddings(spark, n = 500, d = 16, clusters = 8, seed = 77)
-    val blocks = PdxSpark.pack(df, 64).cache()
-    val local = df.collect().map(r => (r.getLong(0), r.getSeq[Float](1).toArray))
-      .sortBy(_._1).map(_._2).toIndexedSeq
-    val q = local.head // self-query: nearest must include id 0 at distance 0
-    val res = PdxSpark.knnExact(blocks, q, 5).collect()
-    assert(res.head.getLong(0) == 0L)
-    assert(res.head.getDouble(1) < 1e-6)
-    TestUtil.assertExactKnn(res.map(r => (r.getLong(0), r.getDouble(1).toFloat)).toSeq, local, q, 5)
-    blocks.unpersist()
-  }
 }
