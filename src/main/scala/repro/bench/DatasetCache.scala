@@ -31,7 +31,7 @@ object DatasetCache {
       (pruner, pruner.transformData(ds.vectors))
     }))
 
-  /** BSA pruner + the dataset in PCA space. Jacobi sweeps capped at 5: the
+  /** BSA pruner + the dataset in PCA space. Jacobi sweeps capped at 4: the
     * energy concentration pruning needs converges in the first sweeps.
     */
   def bsaSpace(spec: DatasetSpec, multiplier: Double = 0.75): (Bsa, IndexedSeq[Array[Float]]) =

@@ -56,6 +56,7 @@ object ExactSearchBench {
       val ids = vecs.indices.map(_.toLong)
       val queries = if (quick) ds.queries.take(5) else ds.queries
       val nary = PdxLayout.packNary(vecs)
+      val naryBucket = NaryBucket(ids.toArray, n, d, nary, Array.emptyFloatArray)
       val dsm = PdxLayout.packDsm(vecs)
       val blocks64 = PdxLayout.pack(vecs, ids, 64)
       val bondBlocks = PdxLayout.pack(vecs, ids, math.max(256, n / 10))
@@ -65,7 +66,7 @@ object ExactSearchBench {
       val qpsOf = measureQps(queries, if (quick) 50_000_000L else 400_000_000L) _
 
       val qps = Map(
-        "nary" -> qpsOf(q => BenchUtil.consume(LinearScan.naryKnn(nary, n, d, q, k).threshold)),
+        "nary" -> qpsOf(q => BenchUtil.consume(LinearScan.naryKnn(Iterator.single(naryBucket), q, k).threshold)),
         "nary-scalar" -> qpsOf(q => BenchUtil.consume(LinearScan.naryScalarKnn(nary, n, d, q, k).threshold)),
         "dsm" -> qpsOf(q => BenchUtil.consume(LinearScan.dsmKnn(dsm, n, q, k).threshold)),
         "gather" -> qpsOf(q => BenchUtil.consume(LinearScan.gatherKnn(nary, n, d, q, k).threshold)),

@@ -6,7 +6,8 @@ package repro.core
   */
 final case class NaryBucket(ids: Array[Long], n: Int, d: Int,
                             data: Array[Float], suffixSqNorms: Array[Float]) {
-  require(ids.length == n && data.length == n * d)
+  require(ids.length == n, s"ids ${ids.length} != n $n")
+  require(data.length == n * d, s"data ${data.length} != n*d ${n * d}")
 }
 
 object NaryBucket {
@@ -101,13 +102,20 @@ final class NarySearcher(val k: Int, profiler: SearchProfiler = null) {
   */
 object LinearScan {
 
-  /** Horizontal scan with the unrolled ("SIMD") kernel. */
-  def naryKnn(data: Array[Float], n: Int, d: Int, q: Array[Float], k: Int): KnnHeap = {
+  /** Horizontal scan with the unrolled ("SIMD") kernel: the one N-ary
+    * top-k scan, over whole buckets and keyed by the buckets' ids.
+    */
+  def naryKnn(buckets: IterableOnce[NaryBucket], q: Array[Float], k: Int): KnnHeap = {
     val heap = new KnnHeap(k)
-    var i = 0
-    while (i < n) {
-      heap.push(i.toLong, Kernels.l2Unrolled(data, i * d, q, 0, d))
-      i += 1
+    val it = buckets.iterator
+    while (it.hasNext) {
+      val b = it.next()
+      requireQueryDims(q, b.d)
+      var i = 0
+      while (i < b.n) {
+        heap.push(b.ids(i), Kernels.l2Unrolled(b.data, i * b.d, q, 0, b.d))
+        i += 1
+      }
     }
     heap
   }

@@ -24,40 +24,35 @@ object Ivf {
 
 /** An IVF index materialized in one search space (raw for PDX-BOND, rotated
   * for ADSampling, PCA for BSA): buckets as PDX blocks (bucket == block, as
-  * in Figure 2) and the centroids packed as a PDX block so bucket selection
-  * also uses the PDX kernel (§6.4, Table 7 "Find Nearest Buckets"). The
-  * horizontal (N-ary) buckets and centroids for the N-ary searchers are
-  * derived from those on first use, so PDX-only users never build them.
+  * in Figure 2) and the centroids packed as a PDX block, so bucket selection
+  * is the same PDX linear scan as the search (§6.4, Table 7 "Find Nearest
+  * Buckets"). The horizontal (N-ary) buckets and centroids for the N-ary
+  * searchers are derived from those on first use, so PDX-only users never
+  * build them.
   *
-  * Empty buckets are dropped; `bucketOf(b)` maps a centroid index to its
-  * position in `blocks` (or -1).
+  * Empty buckets are dropped, and so are their centroids: `centroidBlock`
+  * holds only the live centroids, each with its centroid index as its id.
+  * `bucketOf(c)` maps a centroid index to its position in `blocks` (or -1).
   */
 final class IvfIndex(
-    val nlist: Int,
-    val d: Int,
-    val centroids: Array[Array[Float]],
     val centroidBlock: PdxBlock,
     val blocks: Array[PdxBlock],
     val bucketOf: Array[Int]
 ) {
 
-  lazy val centroidNary: Array[Float] = PdxLayout.packNary(centroids.toIndexedSeq)
+  lazy val centroidBucket: NaryBucket = NaryBucket.fromBlock(centroidBlock)
 
   lazy val naryBuckets: Array[NaryBucket] = blocks.map(NaryBucket.fromBlock)
 
-  /** Centroid indices sorted by distance to the (search-space) query. */
+  /** The `nprobe` live centroid indices nearest to the (search-space)
+    * query, by (distance, index): a top-nprobe linear scan of the centroids.
+    */
   def nearestBuckets(query: Array[Float], nprobe: Int, usePdx: Boolean = true): Array[Int] = {
-    val k = centroids.length
-    val dists = new Array[Float](k)
-    if (usePdx) {
-      LinearScan.scoreBlock(centroidBlock, query, dists)
-    } else {
-      LinearScan.requireQueryDims(query, d)
-      var c = 0
-      while (c < k) { dists(c) = Kernels.l2Unrolled(centroidNary, c * d, query, 0, d); c += 1 }
-    }
-    val order = Array.tabulate(k)(identity).sortBy(c => (dists(c), c))
-    order.iterator.filter(bucketOf(_) >= 0).take(nprobe).toArray
+    require(nprobe > 0, s"nprobe must be positive, got $nprobe")
+    val heap =
+      if (usePdx) LinearScan.pdxKnn(Iterator.single(centroidBlock), query, nprobe)
+      else LinearScan.naryKnn(Iterator.single(centroidBucket), query, nprobe)
+    heap.idsSorted.map(_.toInt).toArray
   }
 
   /** Full IVF query with PDXearch: prep query, pick nprobe buckets, search
@@ -87,16 +82,7 @@ final class IvfIndex(
     */
   def searchLinear(query: Array[Float], k: Int, nprobe: Int): IndexedSeq[(Long, Float)] = {
     val probes = nearestBuckets(query, nprobe, usePdx = false)
-    val heap = new KnnHeap(k)
-    probes.foreach { c =>
-      val b = naryBuckets(bucketOf(c))
-      var i = 0
-      while (i < b.n) {
-        heap.push(b.ids(i), Kernels.l2Unrolled(b.data, i * b.d, query, 0, b.d))
-        i += 1
-      }
-    }
-    heap.sorted
+    LinearScan.naryKnn(probes.iterator.map(c => naryBuckets(bucketOf(c))), query, k).sorted
   }
 }
 
@@ -115,25 +101,16 @@ object IvfIndex {
     val byBucket = Array.fill(part.nlist)(Vector.newBuilder[Int])
     var i = 0
     while (i < part.assign.length) { byBucket(part.assign(i)) += i; i += 1 }
-    val blocksB = Vector.newBuilder[PdxBlock]
+    val members = byBucket.map(_.result())
+    val live = (0 until part.nlist).filter(members(_).nonEmpty)
     val bucketOf = Array.fill(part.nlist)(-1)
-    var w = 0
-    var c = 0
-    while (c < part.nlist) {
-      val members = byBucket(c).result()
-      if (members.nonEmpty) {
-        blocksB += PdxLayout.packOne(members.map(vecsInSpace), members.map(ids), d,
-                                     withSuffixNorms)
-        bucketOf(c) = w
-        w += 1
-      }
-      c += 1
+    live.indices.foreach(w => bucketOf(live(w)) = w)
+    val blocks = live.map { c =>
+      PdxLayout.packOne(members(c).map(vecsInSpace), members(c).map(ids), d, withSuffixNorms)
     }
-    val centroidBlock = PdxLayout.packOne(
-      spaceCentroids.toIndexedSeq, spaceCentroids.indices.map(_.toLong), d,
-      withSuffixNorms = false)
-    new IvfIndex(part.nlist, d, spaceCentroids, centroidBlock, blocksB.result().toArray,
-                 bucketOf)
+    val centroidBlock = PdxLayout.packOne(live.map(spaceCentroids), live.map(_.toLong), d,
+                                          withSuffixNorms = false)
+    new IvfIndex(centroidBlock, blocks.toArray, bucketOf)
   }
 
   /** Convenience: partition raw data and materialize in a pruner's space. */

@@ -11,7 +11,6 @@ import repro.prune.Bond
   * `suffix` is empty unless the block carries BSA metadata.
   */
 final case class PdxBlockRow(
-    blockId: Long,
     ids: Array[Long],
     n: Int,
     d: Int,
@@ -23,8 +22,8 @@ final case class PdxBlockRow(
 }
 
 object PdxBlockRow {
-  def from(blockId: Long, b: PdxBlock): PdxBlockRow =
-    PdxBlockRow(blockId, b.ids, b.n, b.d, b.data, b.means, b.suffixSqNorms)
+  def from(b: PdxBlock): PdxBlockRow =
+    PdxBlockRow(b.ids, b.n, b.d, b.data, b.means, b.suffixSqNorms)
 }
 
 /** Spark-side PDX: pack a vector DataFrame into per-partition PDX blocks
@@ -49,7 +48,7 @@ object PdxSpark {
   }
 
   /** Pack a vector DataFrame into PDX blocks, one stream of blocks per
-    * partition. Block ids encode (partition, ordinal) for debuggability.
+    * partition.
     */
   def pack(df: DataFrame, blockSize: Int = PdxLayout.DefaultBlockSize,
            withSuffixNorms: Boolean = false): Dataset[PdxBlockRow] = {
@@ -58,12 +57,10 @@ object PdxSpark {
     df.select(col("id").cast("long"), col("vec"))
       .as[(Long, Array[Float])]
       .mapPartitions { it =>
-        val part = org.apache.spark.TaskContext.getPartitionId().toLong
-        it.grouped(blockSize).zipWithIndex.map { case (group, ord) =>
+        it.grouped(blockSize).map { group =>
           val vecs = group.map(_._2).toIndexedSeq
           val ids = group.map(_._1).toIndexedSeq
-          PdxBlockRow.from(part << 32 | ord.toLong,
-                           PdxLayout.packOne(vecs, ids, vecs.head.length, withSuffixNorms))
+          PdxBlockRow.from(PdxLayout.packOne(vecs, ids, vecs.head.length, withSuffixNorms))
         }
       }
   }

@@ -22,6 +22,17 @@ class NarySearchSpec extends AnyFunSuite {
     }
   }
 
+  test("NaryBucket rejects ids or data of the wrong length, naming both lengths") {
+    val e1 = intercept[IllegalArgumentException] {
+      NaryBucket(Array(1L), 2, 3, new Array[Float](6), Array.emptyFloatArray)
+    }
+    assert(e1.getMessage.contains("ids 1 != n 2"))
+    val e2 = intercept[IllegalArgumentException] {
+      NaryBucket(Array(1L, 2L), 2, 3, new Array[Float](5), Array.emptyFloatArray)
+    }
+    assert(e2.getMessage.contains("data 5 != n*d 6"))
+  }
+
   // Δd = d/4 (capped at 32): these d give Δd = 1, 8 and 32.
   for ((d, deltaD) <- Seq(4 -> 1, 32 -> 8, 128 -> 32)) {
     test(s"NarySearcher + PartialDistance is exact (deltaD=$deltaD)") {
@@ -95,8 +106,9 @@ class NarySearchSpec extends AnyFunSuite {
     val nary = PdxLayout.packNary(ds.vectors)
     val dsm = PdxLayout.packDsm(ds.vectors)
     val blocks = PdxLayout.pack(ds.vectors, ds.ids, 64)
+    val bucket = NaryBucket(ds.ids.toArray, 500, d, nary, Array.emptyFloatArray)
     ds.queries.foreach { q =>
-      TestUtil.assertExactKnn(LinearScan.naryKnn(nary, 500, d, q, 10).sorted, ds.vectors, q, 10)
+      TestUtil.assertExactKnn(LinearScan.naryKnn(Seq(bucket), q, 10).sorted, ds.vectors, q, 10)
       TestUtil.assertExactKnn(LinearScan.naryScalarKnn(nary, 500, d, q, 10).sorted, ds.vectors, q, 10)
       TestUtil.assertExactKnn(LinearScan.dsmKnn(dsm, 500, q, 10).sorted, ds.vectors, q, 10)
       TestUtil.assertExactKnn(LinearScan.pdxKnn(blocks, q, 10).sorted, ds.vectors, q, 10)

@@ -104,8 +104,66 @@ class IvfSpec extends AnyFunSuite {
     val a = idx.nearestBuckets(q, 5, usePdx = true).toSeq
     val b = idx.nearestBuckets(q, 5, usePdx = false).toSeq
     assert(a == b)
-    val dists = a.map(c => Kernels.l2Ref(idx.centroids(c), q))
+    val dists = a.map(c => Kernels.l2Ref(part.rawCentroids(c), q))
     assert(dists == dists.sorted)
+  }
+
+  test("nearestBuckets orders live buckets by (distance, index), ties and empty buckets included") {
+    // 7 centroids at d = 5: 1 and 3 are identical (an exact distance tie);
+    // buckets 4 and 5 are empty, and some queries below sit on their centroids.
+    val d = 5
+    val nlist = 7
+    val rnd = new java.util.Random(47)
+    val centroids = Array.fill(nlist)(Array.fill(d)(rnd.nextGaussian().toFloat))
+    centroids(3) = centroids(1).clone()
+    val liveBuckets = Seq(0, 1, 2, 3, 6)
+    val assign = Array.tabulate(20)(i => liveBuckets(i % liveBuckets.length))
+    val vecs = assign.toIndexedSeq.map(c => centroids(c).map(_ + 0.01f))
+    val part = IvfPartition(nlist, assign, centroids)
+    val idx = IvfIndex.materialize(part, vecs, vecs.indices.map(_.toLong), centroids,
+                                   withSuffixNorms = false)
+
+    // Reference rule: score all nlist centroids with the same kernel, sort
+    // by (distance, index), drop the empty buckets, take nprobe.
+    val allPdx = PdxLayout.packOne(centroids.toIndexedSeq, (0 until nlist).map(_.toLong), d,
+                                   withSuffixNorms = false)
+    val allNary = PdxLayout.packNary(centroids.toIndexedSeq)
+    def expected(q: Array[Float], nprobe: Int, usePdx: Boolean): Seq[Int] = {
+      val dists = new Array[Float](nlist)
+      if (usePdx) LinearScan.scoreBlock(allPdx, q, dists)
+      else (0 until nlist).foreach(c => dists(c) = Kernels.l2Unrolled(allNary, c * d, q, 0, d))
+      (0 until nlist).sortBy(c => (dists(c), c)).filter(idx.bucketOf(_) >= 0).take(nprobe)
+    }
+
+    val queries = Seq(centroids(1), centroids(4), centroids(5),
+                      centroids(4).zip(centroids(1)).map { case (a, b) => (a + b) / 2 }) ++
+      VectorData.gaussian(6, d, seed = 49)
+    for (q <- queries; nprobe <- Seq(1, 2, liveBuckets.length, nlist + 3); usePdx <- Seq(true, false)) {
+      val got = idx.nearestBuckets(q, nprobe, usePdx).toSeq
+      assert(got == expected(q, nprobe, usePdx), s"nprobe=$nprobe usePdx=$usePdx q=${q.toSeq}")
+    }
+    // The tie itself: a query on centroids 1 and 3 picks 1 first, then 3.
+    for (usePdx <- Seq(true, false))
+      assert(idx.nearestBuckets(centroids(1), 2, usePdx).toSeq == Seq(1, 3))
+  }
+
+  test("nearestBuckets and the IVF searches reject a non-positive nprobe") {
+    val ds = clustered(200, 8, seed = 51)
+    val bond = new Bond(8, Bond.DistanceToMeans)
+    val idx = IvfIndex.build(ds.vectors, ds.ids, nlist = 4, bond)
+    val q = ds.queries.head
+    for (nprobe <- Seq(0, -1)) {
+      val calls = Seq[() => Any](
+        () => idx.nearestBuckets(q, nprobe, usePdx = true),
+        () => idx.nearestBuckets(q, nprobe, usePdx = false),
+        () => idx.searchPdx(q, 10, nprobe, bond, new PdxSearcher(10)),
+        () => idx.searchNary(q, 10, nprobe, bond, new NarySearcher(10)),
+        () => idx.searchLinear(q, 10, nprobe))
+      calls.foreach { call =>
+        val e = intercept[IllegalArgumentException](call())
+        assert(e.getMessage.contains(s"nprobe must be positive, got $nprobe"))
+      }
+    }
   }
 
   // ---------------- IVF search ----------------
