@@ -13,6 +13,8 @@ import repro.core.{KnnHeap, Pruner}
   * the bound after every dimension and stopping at the first prune.
   * Layout-independent by construction (it measures the algorithm, not the
   * storage), which is exactly how the paper isolates pruning behaviour.
+  * Tables 2 and 6 run ADSampling and PDX-BOND; a pruner whose bound reads
+  * suffix norms (BSA) is rejected.
   */
 object PruningPower {
 
@@ -20,18 +22,10 @@ object PruningPower {
   def perQuery(vecsInSpace: IndexedSeq[Array[Float]], collectionMeans: Array[Float],
                pruner: Pruner, rawQueries: IndexedSeq[Array[Float]],
                k: Int = 10): IndexedSeq[Double] = {
+    require(!pruner.needsSuffixNorms,
+            s"${pruner.name} needs suffix norms, which the pruning-power simulation does not keep")
     val n = vecsInSpace.length
     val d = vecsInSpace.head.length
-    // Full squared norms, for incremental suffix norms (BSA's bound input):
-    // `sqNorm − prefix` avoids storing n×(d+1) suffix norms per dataset.
-    val sqNorms: Array[Double] =
-      if (pruner.needsSuffixNorms)
-        vecsInSpace.map { v =>
-          var s = 0.0; var j = 0
-          while (j < d) { s += v(j).toDouble * v(j); j += 1 }
-          s
-        }.toArray
-      else null
 
     rawQueries.map { raw =>
       val pq = pruner.prepareQuery(raw)
@@ -57,22 +51,14 @@ object PruningPower {
           used += d
         } else {
           var partial = 0f
-          var prefixSq = 0.0
           var dv = 0
           var prunedV = false
           while (dv < d && !prunedV) {
             val dim = if (order == null) dv else order(dv)
-            val x = v(dim)
-            val t = q(dim) - x
+            val t = q(dim) - v(dim)
             partial += t * t
-            if (sqNorms != null) prefixSq += x.toDouble * x
             dv += 1
-            if (dv < d) {
-              val vs =
-                if (sqNorms == null) 0f
-                else math.max(0.0, sqNorms(i) - prefixSq).toFloat
-              if (pq.bound(partial, dv, vs) > tau) prunedV = true
-            }
+            if (dv < d && pq.bound(partial, dv, 0f) > tau) prunedV = true
           }
           used += dv
           if (!prunedV) heap.push(i.toLong, partial)

@@ -122,6 +122,7 @@ object LinearScan {
 
   /** Horizontal scan with the plain scalar kernel (the "vanilla" baseline). */
   def naryScalarKnn(data: Array[Float], n: Int, d: Int, q: Array[Float], k: Int): KnnHeap = {
+    requireQueryDims(q, d)
     val heap = new KnnHeap(k)
     var i = 0
     while (i < n) {
@@ -165,6 +166,7 @@ object LinearScan {
 
   /** Fully decomposed (DSM) linear scan: whole-collection columns. */
   def dsmKnn(columns: Array[Array[Float]], n: Int, q: Array[Float], k: Int): KnnHeap = {
+    requireQueryDims(q, columns.length)
     val acc = new Array[Float](n)
     Kernels.l2Dsm(columns, n, q, acc)
     val heap = new KnnHeap(k)
@@ -178,6 +180,7 @@ object LinearScan {
     * (64) at-a-time.
     */
   def gatherKnn(data: Array[Float], n: Int, d: Int, q: Array[Float], k: Int): KnnHeap = {
+    requireQueryDims(q, d)
     val heap = new KnnHeap(k)
     val out = new Array[Float](PdxLayout.DefaultBlockSize)
     var v0 = 0

@@ -96,7 +96,12 @@ object IvfIndex {
   def materialize(part: IvfPartition, vecsInSpace: IndexedSeq[Array[Float]],
                   ids: IndexedSeq[Long], spaceCentroids: Array[Array[Float]],
                   withSuffixNorms: Boolean): IvfIndex = {
-    require(vecsInSpace.length == part.assign.length && ids.length == vecsInSpace.length)
+    val n = vecsInSpace.length
+    require(n > 0, "cannot materialize an IVF index over 0 vectors")
+    require(ids.length == n && part.assign.length == n,
+            s"vecsInSpace has $n vectors but ids has ${ids.length} and part.assign has ${part.assign.length}")
+    require(spaceCentroids.length == part.nlist,
+            s"spaceCentroids has ${spaceCentroids.length} centroids but the partition has nlist ${part.nlist}")
     val d = vecsInSpace.head.length
     val byBucket = Array.fill(part.nlist)(Vector.newBuilder[Int])
     var i = 0

@@ -2,13 +2,14 @@ package repro.linalg
 
 import java.util.Random
 
-/** Small dense linear-algebra substrate used by the dimension-pruning
+/** Small dense linear-algebra substrate that fits the dimension-pruning
   * transforms (ADSampling's random rotation, BSA's PCA basis).
   *
-  * Matrices are row-major `Array[Double]` with explicit (rows, cols);
-  * double precision internally, with float conversion at the boundary,
-  * so orthogonality holds to ~1e-12 and rotated distances match raw
-  * distances to float precision.
+  * Matrices are row-major `Array[Double]` with explicit (rows, cols). The
+  * fit runs in double precision, so orthogonality holds to ~1e-12; the
+  * pruners then keep only the row-major float copy (`toFloats`) and
+  * apply it with [[repro.core.Kernels.matVec]], so rotated distances match
+  * raw distances to float precision.
   */
 final case class Mat(rows: Int, cols: Int, a: Array[Double]) {
   require(a.length == rows * cols, s"shape mismatch: ${a.length} != $rows x $cols")
@@ -65,43 +66,13 @@ final case class Mat(rows: Int, cols: Int, a: Array[Double]) {
     out
   }
 
-  /** Float copy of `a`, materialized on first float matvec: halves the
-    * memory traffic of the per-query transform, which is memory-bound at
-    * D=1536 (9.4 MB vs 18.9 MB per matvec).
+  /** Row-major float copy of `a`, made once per fit: the form a fitted
+    * rotation is kept and applied in ([[repro.core.Kernels.matVec]]).
     */
-  @transient private lazy val aF: Array[Float] = {
+  def toFloats: Array[Float] = {
     val out = new Array[Float](a.length)
     var i = 0
     while (i < a.length) { out(i) = a(i).toFloat; i += 1 }
-    out
-  }
-
-  /** Apply `this` (D x D) to a float vector, returning floats. 4-way
-    * unrolled: this is the per-query transform cost of ADSampling/BSA
-    * ("Query Preprocessing" in Table 7), so it gets the same independent-
-    * accumulator treatment as the distance kernels.
-    */
-  def mulVecF(v: Array[Float]): Array[Float] = {
-    require(v.length == cols)
-    val m = aF
-    val out = new Array[Float](rows)
-    val lim = cols - 3
-    var i = 0
-    while (i < rows) {
-      val base = i * cols
-      var s0 = 0f; var s1 = 0f; var s2 = 0f; var s3 = 0f
-      var j = 0
-      while (j < lim) {
-        s0 += m(base + j) * v(j)
-        s1 += m(base + j + 1) * v(j + 1)
-        s2 += m(base + j + 2) * v(j + 2)
-        s3 += m(base + j + 3) * v(j + 3)
-        j += 4
-      }
-      while (j < cols) { s0 += m(base + j) * v(j); j += 1 }
-      out(i) = s0 + s1 + s2 + s3
-      i += 1
-    }
     out
   }
 
@@ -219,7 +190,7 @@ object Mat {
     *
     * Returns (eigenvalues, eigenvectors-as-rows) sorted by eigenvalue
     * descending — i.e. the returned matrix is the PCA rotation whose row i
-    * is the i-th principal axis, so `rot.mulVecF(v)` puts the
+    * is the i-th principal axis, so `rot.mulVec(v)` puts the
     * highest-variance component first (what BSA needs).
     *
     * `maxSweeps` bounds cost at O(maxSweeps * d^3); for the PCA use case a

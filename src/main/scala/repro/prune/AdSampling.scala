@@ -1,6 +1,6 @@
 package repro.prune
 
-import repro.core.{LinearScan, PreparedQuery, Pruner}
+import repro.core.{Kernels, LinearScan, PreparedQuery, Pruner}
 import repro.linalg.Mat
 
 /** ADSampling [Gao & Long 2023]: random orthogonal projection of the
@@ -23,8 +23,10 @@ final class AdSampling(val d: Int, val epsilon0: Double = 2.1, seed: Long = 17)
   val name = "ADSampling"
   val isExact = false
 
-  /** The random rotation Ω (row-major, D x D). */
-  val rotation: Mat = Mat.randomOrthogonal(d, seed)
+  /** The random rotation Ω, fitted in double and kept as row-major D x D
+    * floats.
+    */
+  private val rotation: Array[Float] = Mat.randomOrthogonal(d, seed).toFloats
 
   /** factor(dv) = D / (dv * (1+ε0/√dv)²), precomputed; factor(D) is pinned
     * to 1 so the end-of-vector test is the exact comparison.
@@ -43,7 +45,7 @@ final class AdSampling(val d: Int, val epsilon0: Double = 2.1, seed: Long = 17)
 
   override def transformVector(v: Array[Float]): Array[Float] = {
     LinearScan.requireQueryDims(v, d)
-    rotation.mulVecF(v)
+    Kernels.matVec(rotation, v)
   }
 
   def prepareQuery(q: Array[Float]): PreparedQuery = {

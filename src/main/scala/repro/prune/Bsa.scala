@@ -1,6 +1,6 @@
 package repro.prune
 
-import repro.core.{LinearScan, PdxLayout, PreparedQuery, Pruner}
+import repro.core.{Kernels, LinearScan, PdxLayout, PreparedQuery, Pruner}
 import repro.linalg.Mat
 
 /** BSA [Yang et al. 2024] reproduction: PCA projection of the collection
@@ -29,9 +29,10 @@ import repro.linalg.Mat
   * Requires blocks with suffix squared norms ([[Pruner.needsSuffixNorms]]).
   */
 final class Bsa(val d: Int, val multiplier: Double,
-                basis: Mat, mean: Array[Float],
+                basis: Array[Float], mean: Array[Float],
                 cosQuantiles: Array[Float]) extends Pruner {
-  require(basis.rows == d && basis.cols == d, "basis must be D x D")
+  require(basis.length == d * d,
+          s"basis has ${basis.length} values but a $d x $d basis needs ${d * d}")
   require(mean.length == d, "mean must be D-dimensional")
   require(cosQuantiles.length == d + 1, "need a cosine quantile per prefix length")
 
@@ -53,17 +54,7 @@ final class Bsa(val d: Int, val multiplier: Double,
     (2.0 * c).toFloat
   }
 
-  private def center(v: Array[Float]): Array[Float] = {
-    val out = new Array[Float](d)
-    var j = 0
-    while (j < d) { out(j) = v(j) - mean(j); j += 1 }
-    out
-  }
-
-  override def transformVector(v: Array[Float]): Array[Float] = {
-    LinearScan.requireQueryDims(v, d)
-    basis.mulVecF(center(v))
-  }
+  override def transformVector(v: Array[Float]): Array[Float] = Bsa.project(basis, mean, v)
 
   def prepareQuery(q: Array[Float]): PreparedQuery = {
     val rotated = transformVector(q)
@@ -103,12 +94,21 @@ object Bsa {
     require(vecs.nonEmpty)
     val d = vecs.head.length
     val mean = PdxLayout.globalMeans(vecs)
-    val basis = Mat.pcaRotation(vecs, seed = seed, maxSweeps = maxSweeps)
-    val proto = new Bsa(d, Double.PositiveInfinity, basis, mean, new Array[Float](d + 1))
+    val basis = Mat.pcaRotation(vecs, seed = seed, maxSweeps = maxSweeps).toFloats
     val cq =
       if (!learn) Array.fill(d + 1)(1f)
-      else learnCosQuantiles(proto, vecs, seed)
+      else learnCosQuantiles(basis, mean, vecs, seed)
     new Bsa(d, multiplier, basis, mean, cq)
+  }
+
+  /** `v ↦ P(v − μ)` for a row-major float basis `P` and mean `μ`. */
+  private def project(basis: Array[Float], mean: Array[Float], v: Array[Float]): Array[Float] = {
+    val d = mean.length
+    LinearScan.requireQueryDims(v, d)
+    val centred = new Array[Float](d)
+    var j = 0
+    while (j < d) { centred(j) = v(j) - mean(j); j += 1 }
+    Kernels.matVec(basis, centred)
   }
 
   /** Estimate, for each prefix length dv, a high quantile of the residual
@@ -121,14 +121,14 @@ object Bsa {
     * than random pairs'. Quantiles learned from random pairs underestimate
     * them and collapse recall under per-vector-tightened thresholds.
     */
-  private def learnCosQuantiles(proto: Bsa, vecs: IndexedSeq[Array[Float]],
-                                seed: Long): Array[Float] = {
-    val d = proto.d
+  private def learnCosQuantiles(basis: Array[Float], mean: Array[Float],
+                                vecs: IndexedSeq[Array[Float]], seed: Long): Array[Float] = {
+    val d = mean.length
     val rnd = new java.util.Random(seed * 31 + 11)
     // One pair per pool point: the point and its nearest pool neighbour.
     val nPairs = math.min(vecs.length, SamplePairs)
     if (nPairs < 2) return Array.fill(d + 1)(1f)
-    val pool = IndexedSeq.fill(nPairs)(proto.transformVector(vecs(rnd.nextInt(vecs.length))))
+    val pool = IndexedSeq.fill(nPairs)(project(basis, mean, vecs(rnd.nextInt(vecs.length))))
     val cosines = Array.ofDim[Float](d + 1, nPairs)
     var p = 0
     while (p < nPairs) {
@@ -139,7 +139,7 @@ object Bsa {
       var t = 0
       while (t < nPairs) {
         if (t != p) {
-          val dist = repro.core.Kernels.l2Ref(pool(t), a)
+          val dist = Kernels.l2Ref(pool(t), a)
           if (dist < bestDist) { bestDist = dist; best = t }
         }
         t += 1

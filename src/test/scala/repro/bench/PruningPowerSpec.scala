@@ -3,7 +3,7 @@ package repro.bench
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.{PdxLayout, Pruner}
 import repro.data.VectorData
-import repro.prune.{AdSampling, Bond}
+import repro.prune.{AdSampling, Bond, Bsa}
 
 class PruningPowerSpec extends AnyFunSuite {
 
@@ -34,6 +34,16 @@ class PruningPowerSpec extends AnyFunSuite {
     val means = PdxLayout.globalMeans(space)
     val power = PruningPower.perQuery(space, means, ads, ds.queries)
     assert(power.max > 0.1, s"max power ${power.max}")
+  }
+
+  test("a pruner that needs suffix norms is rejected, by name") {
+    val ds = clustered(100, 8, seed = 5)
+    val bsa = Bsa.fitExact(ds.vectors)
+    val space = bsa.transformData(ds.vectors)
+    val e = intercept[IllegalArgumentException] {
+      PruningPower.perQuery(space, PdxLayout.globalMeans(space), bsa, ds.queries)
+    }
+    assert(e.getMessage.contains("BSA needs suffix norms"))
   }
 
   test("distance-to-means order prunes at least as well as sequential for BOND") {

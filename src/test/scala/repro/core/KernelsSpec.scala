@@ -206,6 +206,11 @@ class KernelsSpec extends AnyFunSuite {
     }
   }
 
+  test("matVec rejects a matrix that is not whole rows of the vector's length") {
+    val e = intercept[IllegalArgumentException](Kernels.matVec(new Array[Float](10), new Array[Float](3)))
+    assert(e.getMessage.contains("matrix of 10 values has no whole rows of 3 columns"))
+  }
+
   test("L2 of identical vectors is zero, L1 of identical vectors is zero") {
     val v = VectorData.gaussian(1, 77, seed = 50).head
     assert(Kernels.l2Unrolled(v, 0, v, 0, 77) == 0f)

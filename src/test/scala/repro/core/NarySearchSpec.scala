@@ -115,4 +115,22 @@ class NarySearchSpec extends AnyFunSuite {
       TestUtil.assertExactKnn(LinearScan.gatherKnn(nary, 500, d, q, 10).sorted, ds.vectors, q, 10)
     }
   }
+
+  test("the scalar, DSM and gather scans reject a query of the wrong dimensionality") {
+    val d = 9
+    val vecs = VectorData.gaussian(70, d, seed = 23)
+    val nary = PdxLayout.packNary(vecs)
+    val dsm = PdxLayout.packDsm(vecs)
+    for (len <- Seq(d - 1, d + 1)) {
+      val q = VectorData.gaussian(1, len, seed = len.toLong).head
+      val calls = Seq[() => Any](
+        () => LinearScan.naryScalarKnn(nary, 70, d, q, 10),
+        () => LinearScan.dsmKnn(dsm, 70, q, 10),
+        () => LinearScan.gatherKnn(nary, 70, d, q, 10))
+      calls.foreach { call =>
+        val e = intercept[IllegalArgumentException](call())
+        assert(e.getMessage.contains(s"query has $len dimensions but the block has $d"))
+      }
+    }
+  }
 }

@@ -268,6 +268,40 @@ class IvfSpec extends AnyFunSuite {
     }
   }
 
+  test("IvfIndex.materialize rejects an empty collection") {
+    val part = IvfPartition(1, Array.emptyIntArray, Array(Array(0f, 0f)))
+    val e = intercept[IllegalArgumentException] {
+      IvfIndex.materialize(part, IndexedSeq.empty, IndexedSeq.empty, part.rawCentroids,
+                           withSuffixNorms = false)
+    }
+    assert(e.getMessage.contains("0 vectors"))
+  }
+
+  test("IvfIndex.materialize rejects vectors, ids and assignments of different lengths") {
+    val ds = clustered(60, 6, seed = 47)
+    val part = Ivf.partition(ds.vectors, nlist = 3)
+    val e1 = intercept[IllegalArgumentException] {
+      IvfIndex.materialize(part, ds.vectors, ds.ids.take(59), part.rawCentroids, withSuffixNorms = false)
+    }
+    assert(e1.getMessage.contains("vecsInSpace has 60 vectors but ids has 59 and part.assign has 60"))
+    val e2 = intercept[IllegalArgumentException] {
+      IvfIndex.materialize(part.copy(assign = part.assign.take(58)), ds.vectors, ds.ids,
+                           part.rawCentroids, withSuffixNorms = false)
+    }
+    assert(e2.getMessage.contains("vecsInSpace has 60 vectors but ids has 60 and part.assign has 58"))
+  }
+
+  test("IvfIndex.materialize rejects a centroid count other than nlist") {
+    val ds = clustered(60, 6, seed = 49)
+    val part = Ivf.partition(ds.vectors, nlist = 3)
+    for (centroids <- Seq(part.rawCentroids.take(2), part.rawCentroids :+ part.rawCentroids.head)) {
+      val e = intercept[IllegalArgumentException] {
+        IvfIndex.materialize(part, ds.vectors, ds.ids, centroids, withSuffixNorms = false)
+      }
+      assert(e.getMessage.contains(s"spaceCentroids has ${centroids.length} centroids but the partition has nlist 3"))
+    }
+  }
+
   test("IvfIndex.build in ADSampling space preserves bucket membership vs raw") {
     val d = 16
     val ds = clustered(300, d, seed = 41)

@@ -1,6 +1,7 @@
 package repro.linalg
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.Kernels
 import repro.data.VectorData
 
 class MatSpec extends AnyFunSuite {
@@ -44,7 +45,8 @@ class MatSpec extends AnyFunSuite {
     test(s"randomOrthogonal(d=$d) preserves L2 distances") {
       val q = Mat.randomOrthogonal(d, seed = d * 13L)
       val vecs = VectorData.gaussian(8, d, seed = d)
-      val rot = vecs.map(q.mulVecF)
+      val qf = q.toFloats
+      val rot = vecs.map(Kernels.matVec(qf, _))
       for (i <- vecs.indices; j <- vecs.indices if i < j) {
         val before = repro.core.Kernels.l2Ref(vecs(i), vecs(j))
         val after = repro.core.Kernels.l2Ref(rot(i), rot(j))
@@ -117,7 +119,8 @@ class MatSpec extends AnyFunSuite {
     val scale = Array(10.0, 1.0, 1.0, 5.0, 1.0, 1.0)
     val vecs = IndexedSeq.fill(2000)(Array.tabulate(6)(j => (rnd.nextGaussian() * scale(j)).toFloat))
     val rot = Mat.pcaRotation(vecs)
-    val rotated = vecs.map(rot.mulVecF)
+    val rotF = rot.toFloats
+    val rotated = vecs.map(Kernels.matVec(rotF, _))
     val vars = (0 until 6).map { j =>
       val xs = rotated.map(_(j).toDouble)
       val m = xs.sum / xs.length
@@ -143,7 +146,7 @@ class MatSpec extends AnyFunSuite {
   test("mulVecF matches mulVec") {
     val m = Mat.gaussian(12, 12, 8)
     val v = VectorData.gaussian(1, 12, 9).head
-    val f = m.mulVecF(v)
+    val f = Kernels.matVec(m.toFloats, v)
     val dd = m.mulVec(v.map(_.toDouble))
     assert(f.indices.forall(i => math.abs(f(i) - dd(i)) < 1e-4))
   }
