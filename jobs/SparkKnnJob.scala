@@ -3,7 +3,6 @@ package repro.jobs
 import org.apache.spark.sql.SparkSession
 import repro.data.VectorData
 import repro.data.VectorData.DatasetSpec
-import repro.prune.Bond
 import repro.spark.PdxSpark
 
 /** Distributed PDX similarity search demo for spark-submit:
@@ -36,7 +35,7 @@ object SparkKnnJob {
       blocks.count()
       val buildMs = (System.nanoTime() - t0) / 1e6
       val query = ds.queries.head
-      def knn() = PdxSpark.knnBond(blocks, query, k, Bond.DistanceToMeans).collect()
+      def knn() = PdxSpark.knnBond(blocks, query, k).collect()
       knn()
       val t1 = System.nanoTime()
       val res = knn()

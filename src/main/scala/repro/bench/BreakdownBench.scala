@@ -82,9 +82,14 @@ object BreakdownBench {
       .getOrElse(lists)
 
     // Single-JVM microbenchmarking is noisy (JIT recompilation, shared-VM
-    // neighbours): warm up with a full query pass, then keep the best of
-    // `passes` measured passes per algorithm.
+    // neighbours): warm every algorithm up with a full query pass, then run
+    // `passes` measured passes round-robin across the algorithms, so each
+    // PDX-vs-N-ary pair is measured under the same host drift, and keep the
+    // best pass per algorithm.
     val passes = if (quick) 1 else 3
+    // Δd of the N-ary searchers: the original's 32, shrunk for small d so
+    // the bound still gets a few chances to fire.
+    val deltaD = math.min(32, math.max(1, spec.d / 4))
 
     // One full query pass with a fresh profiler and searcher. Query prep
     // and bucket selection are timed here, around the calls; the searcher
@@ -92,23 +97,25 @@ object BreakdownBench {
     final case class Pass(totalNs: Long, prepNs: Long, bucketsNs: Long,
                           prof: SearchProfiler, recall: Double)
 
-    def runPass(idx: IvfIndex, pruner: Pruner, nary: Boolean): Pass = {
+    final case class Algo(name: String, idx: IvfIndex, pruner: Pruner, nary: Boolean)
+
+    def runPass(a: Algo): Pass = {
       val prof = new SearchProfiler
       val pdxSearcher = new PdxSearcher(k, prof)
-      val narySearcher = new NarySearcher(k, prof)
+      val narySearcher = new NarySearcher(k, deltaD, prof)
       var prepNs = 0L
       var bucketsNs = 0L
       var recallSum = 0.0
       val t0 = System.nanoTime()
       queries.indices.foreach { qi =>
         val tPrep = System.nanoTime()
-        val pq = pruner.prepareQuery(queries(qi))
+        val pq = a.pruner.prepareQuery(queries(qi))
         val tBuckets = System.nanoTime()
-        val probes = idx.nearestBuckets(pq.query, nprobe, usePdx = !nary).iterator.map(c => idx.bucketOf(c))
+        val probes = a.idx.nearestBuckets(pq.query, nprobe, usePdx = !a.nary).iterator.map(c => a.idx.bucketOf(c))
         val tScan = System.nanoTime()
         val heap = new KnnHeap(k)
-        if (nary) narySearcher.searchPrepared(probes.map(b => idx.naryBuckets(b)), pq, heap)
-        else pdxSearcher.searchPrepared(probes.map(b => idx.blocks(b)), pq, heap)
+        if (a.nary) narySearcher.searchPrepared(probes.map(b => a.idx.naryBuckets(b)), pq, heap)
+        else pdxSearcher.searchPrepared(probes.map(b => a.idx.blocks(b)), pq, heap)
         prepNs += tBuckets - tPrep
         bucketsNs += tScan - tBuckets
         recallSum += VectorData.recall(heap.idsSorted, gt(qi))
@@ -116,27 +123,30 @@ object BreakdownBench {
       Pass(System.nanoTime() - t0, prepNs, bucketsNs, prof, recallSum / queries.length)
     }
 
-    def measure(name: String, idx: IvfIndex, pruner: Pruner, nary: Boolean): AlgoBreakdown = {
-      val unitBound = if (nary) calibrateBoundNanos(pruner, queries.head, spec.d) else 0.0
-      runPass(idx, pruner, nary) // warmup pass
-      val p = (0 until passes).map(_ => runPass(idx, pruner, nary)).minBy(_.totalNs)
-      val boundsNs = if (nary) p.prof.boundEvals * unitBound else p.prof.boundsNanos.toDouble
-      val distNs0 = math.max(0.0, p.prof.distanceNanos - (if (nary) boundsNs else 0.0))
+    def breakdown(a: Algo, unitBound: Double, p: Pass): AlgoBreakdown = {
+      val boundsNs = if (a.nary) p.prof.boundEvals * unitBound else p.prof.boundsNanos.toDouble
+      val distNs0 = math.max(0.0, p.prof.distanceNanos - (if (a.nary) boundsNs else 0.0))
       val accounted = distNs0 + p.bucketsNs + boundsNs + p.prepNs
       // Fold unaccounted time (heap, iteration) into Distance Calculation.
       val distNs = distNs0 + math.max(0.0, p.totalNs - accounted)
       val toMs = 1e-6 / queries.length
-      AlgoBreakdown(name, p.totalNs * toMs, distNs * toMs, p.bucketsNs * toMs,
+      AlgoBreakdown(a.name, p.totalNs * toMs, distNs * toMs, p.bucketsNs * toMs,
                     boundsNs * toMs, p.prepNs * toMs, p.recall)
     }
 
-    val breakdowns = Seq(
-      measure("N-ary ADS", adsIdx, ads, nary = true),
-      measure("PDX ADS", adsIdx, ads, nary = false),
-      measure("N-ary BSA", bsaIdx, bsa, nary = true),
-      measure("PDX BSA", bsaIdx, bsa, nary = false),
-      measure("PDX BOND", rawIdx, bond, nary = false),
+    val algos = Seq(
+      Algo("N-ary ADS", adsIdx, ads, nary = true),
+      Algo("PDX ADS", adsIdx, ads, nary = false),
+      Algo("N-ary BSA", bsaIdx, bsa, nary = true),
+      Algo("PDX BSA", bsaIdx, bsa, nary = false),
+      Algo("PDX BOND", rawIdx, bond, nary = false),
     )
+    val unitBounds = algos.map(a => if (a.nary) calibrateBoundNanos(a.pruner, queries.head, spec.d) else 0.0)
+    algos.foreach(runPass) // warmup pass
+    val measured = (0 until passes).map(_ => algos.map(runPass)).transpose
+    val breakdowns = algos.lazyZip(unitBounds).lazyZip(measured).map { (a, unitBound, ps) =>
+      breakdown(a, unitBound, ps.minBy(_.totalNs))
+    }
 
     val table = BenchUtil.markdownTable(
       Seq("Algorithm", "Query Time (ms)", "Distance Calculation", "Find Nearest Buckets",

@@ -56,7 +56,8 @@ object ExactSearchBench {
       val ids = vecs.indices.map(_.toLong)
       val queries = if (quick) ds.queries.take(5) else ds.queries
       val nary = PdxLayout.packNary(vecs)
-      val naryBucket = NaryBucket(ids.toArray, n, d, nary, Array.emptyFloatArray)
+      val naryBucket = NaryBucket(ids.toArray, n, d, nary, PdxLayout.globalMeans(vecs),
+                                  Array.emptyFloatArray)
       val dsm = PdxLayout.packDsm(vecs)
       val blocks64 = PdxLayout.pack(vecs, ids, 64)
       val bondBlocks = PdxLayout.pack(vecs, ids, math.max(256, n / 10))

@@ -1,71 +1,31 @@
 package repro.bench
 
-import repro.core.{KnnHeap, Pruner}
+import repro.core.{NaryBucket, NarySearcher, Pruner, SearchProfiler}
 
-/** Pruning-power simulation for Tables 2 and 6: a full scan per query that
-  * tries to prune at every dimension (Δd = 1), K = 10.
+/** Pruning power for Tables 2 and 6, K = 10: the share of dimension values
+  * that the vector-at-a-time search skips when it tests its bound after
+  * every dimension (Δd = 1).
   *
   * *Pruning power* = percentage of individual dimension values NOT used in
-  * distance calculations (§2.3). The scan walks the collection in storage
-  * order; the first k vectors fill the heap (all their dims count as used),
-  * then each vector accumulates its partial distance one dimension at a
-  * time — in the pruner's query-aware order when it defines one — testing
-  * the bound after every dimension and stopping at the first prune.
-  * Layout-independent by construction (it measures the algorithm, not the
-  * storage), which is exactly how the paper isolates pruning behaviour.
-  * Tables 2 and 6 run ADSampling and PDX-BOND; a pruner whose bound reads
-  * suffix norms (BSA) is rejected.
+  * distance calculations (§2.3). Each query runs [[NarySearcher]] at Δd = 1
+  * over the whole collection packed as one N-ary bucket (storage order, the
+  * pruner's dimension order from the collection means), and the power is
+  * read from its profiler: `1 − dimValuesScanned / (n·d)`. The first k
+  * vectors fill the heap, so all their dimensions count as used. This
+  * measures the algorithm, not the storage, which is how the paper
+  * isolates pruning behaviour.
   */
 object PruningPower {
 
   /** Per-query pruning power (fraction in [0,1]) over the collection. */
-  def perQuery(vecsInSpace: IndexedSeq[Array[Float]], collectionMeans: Array[Float],
-               pruner: Pruner, rawQueries: IndexedSeq[Array[Float]],
-               k: Int = 10): IndexedSeq[Double] = {
-    require(!pruner.needsSuffixNorms,
-            s"${pruner.name} needs suffix norms, which the pruning-power simulation does not keep")
-    val n = vecsInSpace.length
-    val d = vecsInSpace.head.length
-
+  def perQuery(vecsInSpace: IndexedSeq[Array[Float]], pruner: Pruner,
+               rawQueries: IndexedSeq[Array[Float]], k: Int = 10): IndexedSeq[Double] = {
+    val bucket = NaryBucket.pack(vecsInSpace, vecsInSpace.indices.map(_.toLong),
+                                 withSuffixNorms = pruner.needsSuffixNorms)
     rawQueries.map { raw =>
-      val pq = pruner.prepareQuery(raw)
-      val q = pq.query
-      val order = pq.order(collectionMeans)
-      val heap = new KnnHeap(k)
-      var used = 0L
-      var i = 0
-      while (i < n) {
-        val v = vecsInSpace(i)
-        val tau = heap.threshold
-        if (tau == Float.PositiveInfinity) {
-          // Heap not yet full: full evaluation.
-          var dist = 0f
-          var j = 0
-          while (j < d) {
-            val dim = if (order == null) j else order(j)
-            val t = q(dim) - v(dim)
-            dist += t * t
-            j += 1
-          }
-          heap.push(i.toLong, dist)
-          used += d
-        } else {
-          var partial = 0f
-          var dv = 0
-          var prunedV = false
-          while (dv < d && !prunedV) {
-            val dim = if (order == null) dv else order(dv)
-            val t = q(dim) - v(dim)
-            partial += t * t
-            dv += 1
-            if (dv < d && pq.bound(partial, dv, 0f) > tau) prunedV = true
-          }
-          used += dv
-          if (!prunedV) heap.push(i.toLong, partial)
-        }
-        i += 1
-      }
-      1.0 - used.toDouble / (n.toLong * d)
+      val profiler = new SearchProfiler
+      new NarySearcher(k, deltaD = 1, profiler).search(Iterator.single(bucket), raw, pruner)
+      1.0 - profiler.dimValuesScanned.toDouble / (bucket.n.toLong * bucket.d)
     }
   }
 

@@ -1,6 +1,5 @@
 package repro.bench
 
-import repro.core.PdxLayout
 import repro.data.VectorData.DatasetSpec
 import repro.prune.Bond
 
@@ -35,8 +34,7 @@ object PruningTables {
     val cols = specs.map { spec =>
       val ds = DatasetCache.dataset(spec)
       val (pruner, space) = DatasetCache.adsSpace(spec)
-      val means = PdxLayout.globalMeans(space)
-      val power = PruningPower.perQuery(space, means, pruner, ds.queries, k)
+      val power = PruningPower.perQuery(space, pruner, ds.queries, k)
       spec.label -> PruningPower.summarize(power)
     }
     (render("ADSampling pruning power (% of dimension values avoided), Δd=1, K=10.", cols),
@@ -49,8 +47,7 @@ object PruningTables {
     val cols = specs.map { spec =>
       val ds = DatasetCache.dataset(spec)
       val pruner = new Bond(spec.d, Bond.DistanceToMeans)
-      val means = PdxLayout.globalMeans(ds.vectors)
-      val power = PruningPower.perQuery(ds.vectors, means, pruner, ds.queries, k)
+      val power = PruningPower.perQuery(ds.vectors, pruner, ds.queries, k)
       spec.label -> PruningPower.summarize(power)
     }
     (render("PDX-BOND pruning power (% of dimension values avoided), Δd=1, K=10.", cols),

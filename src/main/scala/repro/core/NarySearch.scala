@@ -1,13 +1,15 @@
 package repro.core
 
 /** One IVF bucket (or partition) in the conventional horizontal layout:
-  * vector i occupies `data(i*d until (i+1)*d)`. `suffixSqNorms` mirrors the
-  * PDX block metadata for BSA (`suffixSqNorms(i*(d+1)+j) = Σ_{t≥j} v_i(t)²`).
+  * vector i occupies `data(i*d until (i+1)*d)`. `means` and `suffixSqNorms`
+  * mirror the PDX block metadata: per-dimension means (PDX-BOND's order) and,
+  * for BSA, `suffixSqNorms(i*(d+1)+j) = Σ_{t≥j} v_i(t)²`.
   */
-final case class NaryBucket(ids: Array[Long], n: Int, d: Int,
-                            data: Array[Float], suffixSqNorms: Array[Float]) {
+final case class NaryBucket(ids: Array[Long], n: Int, d: Int, data: Array[Float],
+                            means: Array[Float], suffixSqNorms: Array[Float]) {
   require(ids.length == n, s"ids ${ids.length} != n $n")
   require(data.length == n * d, s"data ${data.length} != n*d ${n * d}")
+  require(means.length == d, s"means ${means.length} != d $d")
 }
 
 object NaryBucket {
@@ -18,25 +20,31 @@ object NaryBucket {
   }
 
   /** The same vectors as `b` in horizontal layout: `b.data` transposed;
-    * ids and suffix norms (already laid out `i*(d+1)+j`) are shared.
+    * ids, means and suffix norms (already laid out `i*(d+1)+j`) are shared.
     */
   def fromBlock(b: PdxBlock): NaryBucket = {
     val data = PdxLayout.packNary((0 until b.n).map(b.vectorAt))
-    NaryBucket(b.ids, b.n, b.d, data, b.suffixSqNorms)
+    NaryBucket(b.ids, b.n, b.d, data, b.means, b.suffixSqNorms)
   }
 }
 
 /** The original ADSampling/BSA search strategy on horizontal storage:
-  * vector-at-a-time, with the pruning bound evaluated every Δd dimensions,
-  * interleaved with the distance computation (the branchy pattern §6.3
-  * profiles). τ tightens after every accepted vector. Δd is
-  * `min(32, max(1, d/4))` of each bucket's d: the original's 32, shrunk
-  * for small d so the bound still gets a few chances to fire.
+  * vector-at-a-time, with the pruning bound evaluated every `deltaD`
+  * dimensions, interleaved with the distance computation (the branchy
+  * pattern §6.3 profiles). τ tightens after every accepted vector.
   *
-  * Used as the N-ary side of Table 7 and the SIMD-ADS/BSA stand-in.
-  * `profiler`, when not null, counts operations (see [[SearchProfiler]]).
+  * The dimensions are visited in the pruner's order, asked for once per
+  * search from the first bucket's means (as PDXearch does); a `null` order
+  * is storage order, summed by the unrolled kernel. The first k vectors
+  * fill the heap with full distances.
+  *
+  * Used as the N-ary side of Table 7 and the SIMD-ADS/BSA stand-in, and at
+  * Δd = 1 as the vector-at-a-time search whose pruning power Tables 2 and 6
+  * report ([[repro.bench.PruningPower]]). `profiler`, when not null, counts
+  * operations (see [[SearchProfiler]]).
   */
-final class NarySearcher(val k: Int, profiler: SearchProfiler = null) {
+final class NarySearcher(val k: Int, deltaD: Int, profiler: SearchProfiler = null) {
+  require(deltaD > 0, s"deltaD must be positive, got $deltaD")
 
   def search(buckets: IterableOnce[NaryBucket], rawQuery: Array[Float],
              pruner: Pruner): KnnHeap =
@@ -45,12 +53,14 @@ final class NarySearcher(val k: Int, profiler: SearchProfiler = null) {
   def searchPrepared(buckets: IterableOnce[NaryBucket], pq: PreparedQuery,
                      heap: KnnHeap): KnnHeap = {
     val it = buckets.iterator
+    val q = pq.query
+    var order: Array[Int] = null
+    var ordered = false
     while (it.hasNext) {
       val b = it.next()
-      val q = pq.query
       val d = b.d
       LinearScan.requireQueryDims(q, d)
-      val deltaD = math.min(32, math.max(1, d / 4))
+      if (!ordered) { order = pq.order(b.means); ordered = true }
       val stride = d + 1
       val suffix = b.suffixSqNorms
       val t0 = if (profiler ne null) System.nanoTime() else 0L
@@ -70,7 +80,16 @@ final class NarySearcher(val k: Int, profiler: SearchProfiler = null) {
         } else {
           while (dv < d && !prunedV) {
             val nd = math.min(d, dv + deltaD)
-            partial += Kernels.l2Unrolled(b.data, o, q, dv, nd)
+            if (order == null) partial += Kernels.l2Unrolled(b.data, o, q, dv, nd)
+            else {
+              var j = dv
+              while (j < nd) {
+                val dim = order(j)
+                val t = q(dim) - b.data(o + dim)
+                partial += t * t
+                j += 1
+              }
+            }
             dimValues += nd - dv
             dv = nd
             if (dv < d) {

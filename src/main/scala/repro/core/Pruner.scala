@@ -19,7 +19,7 @@ trait PreparedQuery {
     * means sequential access (ADSampling, BSA). A pure function of `means`:
     * a search asks for it once and visits every block in that order
     * (PDXearch passes the means of the first block it prunes,
-    * `PruningPower` the collection means).
+    * [[NarySearcher]] those of the first bucket it searches).
     */
   def order(means: Array[Float]): Array[Int]
 

@@ -157,7 +157,7 @@ class IvfSpec extends AnyFunSuite {
         () => idx.nearestBuckets(q, nprobe, usePdx = true),
         () => idx.nearestBuckets(q, nprobe, usePdx = false),
         () => idx.searchPdx(q, 10, nprobe, bond, new PdxSearcher(10)),
-        () => idx.searchNary(q, 10, nprobe, bond, new NarySearcher(10)),
+        () => idx.searchNary(q, 10, nprobe, bond, new NarySearcher(10, deltaD = 2)),
         () => idx.searchLinear(q, 10, nprobe))
       calls.foreach { call =>
         val e = intercept[IllegalArgumentException](call())
@@ -219,7 +219,7 @@ class IvfSpec extends AnyFunSuite {
                                    withSuffixNorms = false)
     val gt = VectorData.groundTruth(ds.vectors, ds.queries, 10)
     val pdxS = new PdxSearcher(10)
-    val naryS = new NarySearcher(10)
+    val naryS = new NarySearcher(10, deltaD = d / 4)
     val (pdxR, naryR) = ds.queries.indices.map { qi =>
       val q = ds.queries(qi)
       val a = VectorData.recall(idx.searchPdx(q, 10, 12, ads, pdxS).map(_._1), gt(qi))
@@ -241,7 +241,7 @@ class IvfSpec extends AnyFunSuite {
                                    part.rawCentroids.map(bsa.transformVector),
                                    withSuffixNorms = true)
     val pdxS = new PdxSearcher(10)
-    val naryS = new NarySearcher(10)
+    val naryS = new NarySearcher(10, deltaD = d / 4)
     ds.queries.foreach { q =>
       TestUtil.assertExactKnn(idx.searchPdx(q, 10, 8, bsa, pdxS), ds.vectors, q, 10)
       TestUtil.assertExactKnn(idx.searchNary(q, 10, 8, bsa, naryS), ds.vectors, q, 10)
@@ -253,7 +253,7 @@ class IvfSpec extends AnyFunSuite {
     val ds = clustered(200, d, seed = 45)
     val part = Ivf.partition(ds.vectors, nlist = 4)
     val idx = IvfIndex.materialize(part, ds.vectors, ds.ids, part.rawCentroids, withSuffixNorms = false)
-    val searcher = new NarySearcher(10)
+    val searcher = new NarySearcher(10, deltaD = d / 4)
     for (len <- Seq(d - 1, d + 1)) {
       val q = VectorData.gaussian(1, len, seed = len.toLong).head
       val pruner = Pruner.PartialDistance(len)

@@ -4,7 +4,6 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.data.VectorData
-import repro.prune.Bond
 
 /** Result-equality checks against DuckDB: exact KNN ids, range counts, and
   * block-mean metadata, over long-format (id, dim, val) views of the data.
@@ -43,7 +42,7 @@ class OracleKnnSpec extends SparkSpec {
     test(s"PDX-BOND KNN ids match DuckDB (d=$d, n=$n)") {
       val (ds, df, longDf) = fixture(d, n, seed)
       val blocks = PdxSpark.pack(df, 32)
-      val sparkRes = PdxSpark.knnBond(blocks, ds.queries(1), 5, Bond.DistanceToMeans).select("id")
+      val sparkRes = PdxSpark.knnBond(blocks, ds.queries(1), 5).select("id")
       Oracle.assertEquivalent(sparkRes, knnSql(5),
         "vectors" -> longDf, "query" -> queryDF(ds.queries(1)))
     }

@@ -3,12 +3,19 @@ package repro.spark
 import repro.{SparkSpec, TestUtil}
 import repro.core.PdxLayout
 import repro.data.VectorData
-import repro.prune.Bond
 
 class PdxSparkSpec extends SparkSpec {
 
   private lazy val ds = VectorData.generate(
     VectorData.DatasetSpec("spark", 24, 800, 6, skewed = false, clusters = 8, seed = 500))
+
+  test("toVectorDF makes numPartitions partitions and rejects a non-positive count") {
+    assert(PdxSpark.toVectorDF(spark, ds.vectors, numPartitions = 3).rdd.getNumPartitions == 3)
+    for (parts <- Seq(0, -1)) {
+      val e = intercept[IllegalArgumentException](PdxSpark.toVectorDF(spark, ds.vectors, parts))
+      assert(e.getMessage.contains(s"numPartitions must be positive, got $parts"))
+    }
+  }
 
   test("pack produces blocks covering every vector exactly once") {
     val df = PdxSpark.toVectorDF(spark, ds.vectors, numPartitions = 4)
@@ -57,7 +64,7 @@ class PdxSparkSpec extends SparkSpec {
     val blocks = PdxSpark.pack(df, 64).cache()
     ds.queries.foreach { q =>
       val exact = PdxSpark.knnExact(blocks, q, 10).collect().map(_.getLong(0)).toSet
-      val bond = PdxSpark.knnBond(blocks, q, 10, Bond.DistanceToMeans).collect().map(_.getLong(0)).toSet
+      val bond = PdxSpark.knnBond(blocks, q, 10).collect().map(_.getLong(0)).toSet
       assert(bond == exact)
     }
     blocks.unpersist()
