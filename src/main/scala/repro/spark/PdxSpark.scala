@@ -2,8 +2,10 @@ package repro.spark
 
 import org.apache.spark.sql.{DataFrame, Dataset, Row, SparkSession}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{DoubleType, LongType, StructField, StructType}
 import repro.core._
 import repro.prune.Bond
+import scala.jdk.CollectionConverters._
 
 /** One PDX block as a Spark row — the per-partition columnar block format
   * (repro-hint layering: blocks ↔ Parquet rowgroups, built and scanned
@@ -30,12 +32,18 @@ object PdxBlockRow {
   * and run dimension-by-dimension KNN inside executors.
   *
   * Layering (DESIGN.md §3): the layout is a `Dataset[PdxBlockRow]` built by
-  * `mapPartitions` (i); the search is a per-partition operator that runs the
-  * PDXearch core and emits per-partition top-k merged by a global
-  * `orderBy(dist, id).limit(k)` (ii); and the same scan is exposed to Spark
-  * SQL as the `pdx_block_knn` UDF (iii). Exact variants stay exact under
-  * this parallelization: each partition runs its own START phase, and the
-  * global merge of per-partition exact top-k is the exact top-k.
+  * `mapPartitions` (i); a query is one Spark job over the blocks' RDD, in
+  * which each partition runs the PDXearch core and returns its top-k, and
+  * the driver merges those k-lists with a [[KnnHeap]] by (dist, id) (ii);
+  * and the same scan is exposed to Spark SQL as the `pdx_block_knn` UDF
+  * (iii). Exact variants stay exact under this parallelization: each
+  * partition runs its own START phase, and the merge of per-partition exact
+  * top-k is the exact top-k.
+  *
+  * Cache the blocks (`pack(...).cache()`) before their first query: the
+  * queries run on `blocks.rdd`, which Spark plans once per Dataset, so
+  * blocks cached only after their first query are packed again by every
+  * query.
   */
 object PdxSpark {
 
@@ -72,10 +80,12 @@ object PdxSpark {
   }
 
   /** Exact distributed KNN: per-partition PDX linear scan, global top-k.
-    * Returns (id LONG, dist DOUBLE) sorted ascending by (dist, id).
+    * Runs its one Spark job at once and returns the answer as a local
+    * (id LONG, dist DOUBLE) DataFrame sorted ascending by (dist, id).
     */
   def knnExact(blocks: Dataset[PdxBlockRow], query: Array[Float], k: Int): DataFrame = {
     require(k > 0, s"k must be positive, got $k")
+    requireFinite(query)
     globalTopK(blocks, k)(it => LinearScan.pdxKnn(it, query, k))
   }
 
@@ -85,34 +95,51 @@ object PdxSpark {
     */
   def knnBond(blocks: Dataset[PdxBlockRow], query: Array[Float], k: Int): DataFrame = {
     require(k > 0, s"k must be positive, got $k")
+    requireFinite(query)
     val d = query.length
     globalTopK(blocks, k)(it => new PdxSearcher(k).search(it, query, new Bond(d, Bond.DistanceToMeans)))
   }
 
-  /** Runs `topK` on each partition's blocks and merges the per-partition
-    * top-k into the global one: (id LONG, dist DOUBLE) sorted ascending by
-    * (dist, id).
+  /** Fails on the driver, before any job, on a NaN or infinite query value
+    * (which would make every distance NaN).
+    */
+  private def requireFinite(query: Array[Float]): Unit = {
+    var i = 0
+    while (i < query.length) {
+      val x = query(i)
+      require(!x.isNaN && !x.isInfinite, s"query value at position $i is $x; it must be finite")
+      i += 1
+    }
+  }
+
+  private val KnnSchema = StructType(Seq(
+    StructField("id", LongType, nullable = false), StructField("dist", DoubleType, nullable = false)))
+
+  /** Runs `topK` on each partition's blocks in one job over `blocks.rdd`
+    * (planned once per Dataset, so over the cache when the blocks were
+    * cached before the first query) and merges the per-partition k-lists
+    * into one [[KnnHeap]] on the driver. The result is a local DataFrame,
+    * (id LONG, dist DOUBLE) sorted ascending by (dist, id): collecting it
+    * runs no second job.
     */
   private def globalTopK(blocks: Dataset[PdxBlockRow], k: Int)(
       topK: Iterator[PdxBlock] => KnnHeap): DataFrame = {
-    val spark = blocks.sparkSession
-    import spark.implicits._
-    blocks
-      .mapPartitions { it =>
-        topK(it.map(_.toBlock)).sorted.iterator.map { case (id, dist) => (id, dist.toDouble) }
-      }
-      .toDF("id", "dist")
-      .orderBy(col("dist"), col("id"))
-      .limit(k)
+    val perPartition =
+      blocks.rdd.mapPartitions(it => Iterator.single(topK(it.map(_.toBlock)).sorted)).collect()
+    val heap = new KnnHeap(k)
+    perPartition.foreach(_.foreach { case (id, dist) => heap.push(id, dist) })
+    val rows = heap.sorted.map { case (id, dist) => Row(id, dist.toDouble) }
+    blocks.sparkSession.createDataFrame(rows.asJava, KnnSchema)
   }
 
   /** Count of vectors within squared L2 radius `r2` of the query — a
-    * second query shape for the DuckDB oracle (range count).
+    * second query shape for the DuckDB oracle (range count). One job over
+    * `blocks.rdd` counts per partition; the driver sums the counts into a
+    * local one-row DataFrame `c`.
     */
   def rangeCount(blocks: Dataset[PdxBlockRow], query: Array[Float], r2: Double): DataFrame = {
-    val spark = blocks.sparkSession
-    import spark.implicits._
-    val perPart = blocks.mapPartitions { it =>
+    requireFinite(query)
+    val total = blocks.rdd.mapPartitions { it =>
       var count = 0L
       var acc = Array.emptyFloatArray
       it.foreach { row =>
@@ -123,8 +150,9 @@ object PdxSpark {
         while (i < b.n) { if (acc(i) < r2) count += 1; i += 1 }
       }
       Iterator.single(count)
-    }
-    perPart.toDF("c").agg(sum(col("c")).as("c"))
+    }.collect().sum
+    blocks.sparkSession.createDataFrame(Seq(Row(total)).asJava,
+                                        StructType(Seq(StructField("c", LongType, nullable = false))))
   }
 
   /** Register the `pdx_block_knn(data, n, d, ids, query, k)` UDF: scans one

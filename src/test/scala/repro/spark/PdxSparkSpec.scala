@@ -1,7 +1,11 @@
 package repro.spark
 
+import java.util.concurrent.atomic.AtomicInteger
+import org.apache.spark.repro.ListenerBus
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.sql.execution.LocalTableScanExec
 import repro.{SparkSpec, TestUtil}
-import repro.core.PdxLayout
+import repro.core.{Kernels, PdxLayout}
 import repro.data.VectorData
 
 class PdxSparkSpec extends SparkSpec {
@@ -99,6 +103,69 @@ class PdxSparkSpec extends SparkSpec {
     assert(messages(bond).contains("query has 25 dimensions but the block has 24"))
     intercept[IllegalArgumentException](PdxSpark.knnExact(blocks, ds.queries.head, 0))
     intercept[IllegalArgumentException](PdxSpark.knnBond(blocks, ds.queries.head, 0))
+    blocks.unpersist()
+  }
+
+  /** Runs `body` and returns its value with the number of Spark jobs it
+    * started.
+    */
+  private def jobsOf[A](body: => A): (A, Int) = {
+    val sc = spark.sparkContext
+    val jobs = new AtomicInteger
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
+    }
+    ListenerBus.drain(sc)
+    sc.addSparkListener(listener)
+    val value = try { val v = body; ListenerBus.drain(sc); v } finally sc.removeSparkListener(listener)
+    (value, jobs.get)
+  }
+
+  test("a knnBond query is one Spark job and its answer is a local table") {
+    val df = PdxSpark.toVectorDF(spark, ds.vectors, numPartitions = 4)
+    val blocks = PdxSpark.pack(df, 64).cache()
+    blocks.count()
+    val q = ds.queries.head
+    PdxSpark.knnBond(blocks, q, 10).collect() // the first query plans blocks.rdd
+    val ((res, rows), jobs) = jobsOf { val res = PdxSpark.knnBond(blocks, q, 10); (res, res.collect()) }
+    assert(jobs == 1)
+    assert(res.queryExecution.executedPlan.isInstanceOf[LocalTableScanExec],
+           res.queryExecution.executedPlan.toString)
+    TestUtil.assertExactKnn(rows.map(r => (r.getLong(0), r.getDouble(1).toFloat)).toSeq, ds.vectors, q, 10)
+    blocks.unpersist()
+  }
+
+  test("empty partitions: 5 vectors in 8 partitions answer k = 10 with all 5 ids in (dist, id) order") {
+    val vecs = ds.vectors.take(5)
+    val blocks = PdxSpark.pack(PdxSpark.toVectorDF(spark, vecs, numPartitions = 8), 64).cache()
+    assert(blocks.rdd.getNumPartitions == 8)
+    ds.queries.foreach { q =>
+      val ref = vecs.indices.map(i => (Kernels.l2Ref(vecs(i), q), i.toLong)).sorted
+      for (res <- Seq(PdxSpark.knnExact(blocks, q, 10), PdxSpark.knnBond(blocks, q, 10))) {
+        val rows = res.collect()
+        assert(rows.map(_.getLong(0)).toSeq == ref.map(_._2))
+        rows.zip(ref).foreach { case (r, (dist, _)) =>
+          assert(math.abs(r.getDouble(1) - dist) <= 1e-3 * (1 + dist))
+        }
+      }
+    }
+    blocks.unpersist()
+  }
+
+  test("knnExact, knnBond and rangeCount reject a NaN or infinite query value on the driver, before any job") {
+    val blocks = PdxSpark.pack(PdxSpark.toVectorDF(spark, ds.vectors.take(200), numPartitions = 2), 64).cache()
+    for ((pos, bad) <- Seq(3 -> Float.NaN, 0 -> Float.PositiveInfinity, 23 -> Float.NegativeInfinity)) {
+      val q = ds.queries.head.clone()
+      q(pos) = bad
+      val (_, jobs) = jobsOf {
+        for (query <- Seq[Array[Float] => Any](PdxSpark.knnExact(blocks, _, 10), PdxSpark.knnBond(blocks, _, 10),
+                                               PdxSpark.rangeCount(blocks, _, 1.0))) {
+          val e = intercept[IllegalArgumentException](query(q))
+          assert(e.getMessage.contains(s"query value at position $pos is $bad"), e.getMessage)
+        }
+      }
+      assert(jobs == 0)
+    }
     blocks.unpersist()
   }
 
