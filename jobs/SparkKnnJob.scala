@@ -8,7 +8,8 @@ import repro.spark.PdxSpark
 /** Distributed PDX similarity search demo for spark-submit:
   * generates clustered embeddings, packs them into per-partition PDX
   * blocks, and answers a KNN query with PDXearch + PDX-BOND inside the
-  * executors (global top-k merged by Spark).
+  * executors; the per-partition k-lists are merged on the driver, in one
+  * Spark job per query.
   *
   * Prints the build time (generate, pack and cache the blocks) and, after
   * one untimed query, the latency of a warm query over the cached blocks.

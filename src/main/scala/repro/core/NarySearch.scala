@@ -16,26 +16,16 @@ object NaryBucket {
   def pack(vecs: IndexedSeq[Array[Float]], ids: IndexedSeq[Long],
            withSuffixNorms: Boolean = false): NaryBucket = {
     require(vecs.nonEmpty)
-    fromBlock(PdxLayout.packOne(vecs, ids, vecs.head.length, withSuffixNorms))
+    val b = PdxLayout.packOne(vecs, ids, vecs.head.length, withSuffixNorms)
+    NaryBucket(b.ids, b.n, b.d, PdxLayout.packNary(vecs), b.means, b.suffixSqNorms)
   }
 
-  /** The same vectors as `b` in horizontal layout: `b.data` transposed
-    * straight into one `n·d` array; ids, means and suffix norms (already
-    * laid out `i*(d+1)+j`) are shared.
+  /** The same vectors as `b` in horizontal layout: `b.data` transposed;
+    * ids, means and suffix norms (already laid out `i*(d+1)+j`) are shared.
     */
   def fromBlock(b: PdxBlock): NaryBucket = {
-    val n = b.n
-    val d = b.d
-    val src = b.data
-    val data = new Array[Float](n * d)
-    var dim = 0
-    while (dim < d) {
-      val base = dim * n
-      var i = 0
-      while (i < n) { data(i * d + dim) = src(base + i); i += 1 }
-      dim += 1
-    }
-    NaryBucket(b.ids, n, d, data, b.means, b.suffixSqNorms)
+    val data = PdxLayout.packNary((0 until b.n).map(b.vectorAt))
+    NaryBucket(b.ids, b.n, b.d, data, b.means, b.suffixSqNorms)
   }
 }
 

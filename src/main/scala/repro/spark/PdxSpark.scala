@@ -82,6 +82,7 @@ object PdxSpark {
   /** Exact distributed KNN: per-partition PDX linear scan, global top-k.
     * Runs its one Spark job at once and returns the answer as a local
     * (id LONG, dist DOUBLE) DataFrame sorted ascending by (dist, id).
+    * Cache `blocks` before its first query (see the object doc).
     */
   def knnExact(blocks: Dataset[PdxBlockRow], query: Array[Float], k: Int): DataFrame = {
     require(k > 0, s"k must be positive, got $k")
@@ -91,7 +92,8 @@ object PdxSpark {
 
   /** Distributed PDX-BOND KNN: per-partition PDXearch with the exact
     * partial-distance pruner in distance-to-means order; global top-k.
-    * Exact — equals `knnExact` up to float tie noise.
+    * Exact — equals `knnExact` up to float tie noise. Cache `blocks` before
+    * its first query (see the object doc).
     */
   def knnBond(blocks: Dataset[PdxBlockRow], query: Array[Float], k: Int): DataFrame = {
     require(k > 0, s"k must be positive, got $k")

@@ -43,16 +43,6 @@ class NarySearchSpec extends AnyFunSuite {
     assert(NaryBucket.fromBlock(block).means eq block.means)
   }
 
-  for (d <- Seq(1, 3, 13); n <- Seq(1, 7, 30)) {
-    test(s"fromBlock transposes the block bit for bit into packNary's layout (d=$d, n=$n)") {
-      val vecs = VectorData.gaussian(n, d, seed = 40 + d * n)
-      vecs(0)(0) = -0.0f
-      val block = PdxLayout.packOne(vecs, vecs.indices.map(_.toLong), d, withSuffixNorms = false)
-      val bits = (a: Array[Float]) => a.map(java.lang.Float.floatToRawIntBits).toSeq
-      assert(bits(NaryBucket.fromBlock(block).data) == bits(PdxLayout.packNary((0 until n).map(block.vectorAt))))
-    }
-  }
-
   for ((d, deltaD) <- Seq(4 -> 1, 32 -> 8, 128 -> 32)) {
     test(s"NarySearcher + PartialDistance is exact (deltaD=$deltaD)") {
       val ds = clustered(600, d, seed = 5)

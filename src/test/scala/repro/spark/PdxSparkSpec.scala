@@ -3,6 +3,7 @@ package repro.spark
 import java.util.concurrent.atomic.AtomicInteger
 import org.apache.spark.repro.ListenerBus
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.sql.Dataset
 import org.apache.spark.sql.execution.LocalTableScanExec
 import repro.{SparkSpec, TestUtil}
 import repro.core.{Kernels, PdxLayout}
@@ -167,6 +168,37 @@ class PdxSparkSpec extends SparkSpec {
       assert(jobs == 0)
     }
     blocks.unpersist()
+  }
+
+  test("blocks cached before their first query are read from the cache; cached after it, every query packs them again") {
+    val session = spark
+    import session.implicits._
+    val vecs = ds.vectors.take(200)
+    val q = ds.queries.head
+    val packed = spark.sparkContext.longAccumulator("rows packed")
+    // Counted after toVectorDF's shuffle, so packing the blocks again reads the rows again.
+    val source = PdxSpark.toVectorDF(spark, vecs, numPartitions = 2).as[(Long, Array[Float])]
+      .map { r => packed.add(1); r }.toDF("id", "vec")
+    def rowsPackedByQuery(blocks: Dataset[PdxBlockRow]): Long = {
+      packed.reset()
+      val rows = PdxSpark.knnBond(blocks, q, 10).collect()
+      TestUtil.assertExactKnn(rows.map(r => (r.getLong(0), r.getDouble(1).toFloat)).toSeq, vecs, q, 10)
+      packed.value
+    }
+
+    val cachedFirst = PdxSpark.pack(source, 64).cache()
+    assert(rowsPackedByQuery(cachedFirst) == 200) // the first query fills the cache
+    assert(rowsPackedByQuery(cachedFirst) == 0)
+    assert(rowsPackedByQuery(cachedFirst) == 0)
+    cachedFirst.unpersist()
+
+    // blocks.rdd is planned by the first query, without the cache that comes later.
+    val cachedLate = PdxSpark.pack(source, 64)
+    assert(rowsPackedByQuery(cachedLate) == 200)
+    cachedLate.cache()
+    assert(rowsPackedByQuery(cachedLate) == 200)
+    assert(rowsPackedByQuery(cachedLate) == 200)
+    cachedLate.unpersist()
   }
 
   test("rangeCount matches a local count") {

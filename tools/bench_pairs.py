@@ -3,7 +3,7 @@
 
 Run from anywhere inside the repository:
 
-    python3 tools/bench_pairs.py --workload spark-bond-d128 --pairs 10 --seeds 5,6,7
+    python3 tools/bench_pairs.py --workload spark-bond-d128 --pairs 10 --seeds 5,6,7 --base <rev>
 
 The base revision (default HEAD, i.e. the working tree's parent before it is
 committed) is exported with `git archive` into a temporary directory, so
@@ -19,11 +19,15 @@ root: per side, the median and quartiles of every end-to-end metric that
 BENCHMARK.json declares; per metric, the number of pairs the change wins
 (ties count for neither side) and whether the medians differ by more than
 the base's interquartile range; failed/attempted operation counts; every
-run's values; the seeds, the host and the exact command. perfbench's own
-log lines go to stderr.
+run's values; the seeds, the host and the exact command, with the base
+resolved to its commit so that the file can be regenerated from it. The
+change side is named by its commit and, when the working tree has uncommitted
+changes to tracked files, by the SHA-256 of `git diff HEAD` as well.
+perfbench's own log lines go to stderr.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -132,6 +136,11 @@ def main():
     base_rev = git(root, "rev-parse", args.base)
     head_rev = git(root, "rev-parse", "HEAD")
     dirty = bool(git(root, "status", "--porcelain", "--untracked-files=no"))
+    change = {"revision": head_rev, "uncommitted_changes": dirty}
+    if dirty:
+        diff = subprocess.run(["git", "-C", root, "diff", "HEAD", "--binary"], check=True,
+                              capture_output=True).stdout
+        change["diff_sha256"] = hashlib.sha256(diff).hexdigest()
 
     tmp = tempfile.mkdtemp(prefix="bench-pairs-")
     try:
@@ -166,11 +175,12 @@ def main():
     report = {
         "workload": args.workload,
         "base": {"revision": base_rev, **side_counts("base")},
-        "change": {"revision": head_rev, "uncommitted_changes": dirty, **side_counts("change")},
+        "change": {**change, **side_counts("change")},
         "seeds": seeds,
         "run_seconds": seconds,
         "host": host_info(),
-        "command": " ".join(["python3", "tools/bench_pairs.py"] + sys.argv[1:]),
+        "command": "python3 tools/bench_pairs.py --workload %s --pairs %d --seeds %s --base %s"
+                   % (args.workload, args.pairs, ",".join(map(str, seeds)), base_rev),
         "run_command": "python3 perfbench/run.py --workload %s --seed S --seconds %s --trace 0"
                        % (args.workload, seconds),
         "metrics": summarize(spec, runs),
