@@ -1,5 +1,8 @@
 package repro.core
 
+import java.util.stream.IntStream
+import scala.collection.immutable.ArraySeq
+
 /** A per-query state machine produced by a [[Pruner]].
   *
   * The contract with PDXearch / the N-ary searcher: after a vector has
@@ -70,11 +73,20 @@ trait Pruner extends Serializable {
   def transformVector(v: Array[Float]): Array[Float] = v
 
   /** Map the collection into search space, one [[transformVector]] per
-    * vector; when every vector maps to itself, `vecs` itself is returned.
+    * vector, in input order; when every vector maps to itself, `vecs` itself
+    * is returned. Every vector must have `d` values (checked first, naming
+    * the vector). The vectors are split over the threads of the ForkJoin
+    * pool that calls it, so `transformVector` must be thread-safe: the
+    * transforms here only read the fitted state and allocate their output.
     */
   final def transformData(vecs: IndexedSeq[Array[Float]]): IndexedSeq[Array[Float]] = {
-    val out = vecs.map(transformVector)
-    if (out.corresponds(vecs)(_ eq _)) vecs else out
+    vecs.indices.foreach { i =>
+      require(vecs(i).length == d,
+              s"data vector $i has ${vecs(i).length} dimensions but the pruner has $d")
+    }
+    val out = new Array[Array[Float]](vecs.length)
+    IntStream.range(0, vecs.length).parallel().forEach(i => out(i) = transformVector(vecs(i)))
+    if (out.corresponds(vecs)(_ eq _)) vecs else ArraySeq.unsafeWrapArray(out)
   }
 
   def prepareQuery(q: Array[Float]): PreparedQuery

@@ -15,10 +15,7 @@ object Ivf {
   def partition(vecs: IndexedSeq[Array[Float]], nlist: Int, iters: Int = 10,
                 seed: Long = 23): IvfPartition = {
     val model = KMeans.fit(vecs, nlist, iters, seed)
-    val assign = new Array[Int](vecs.length)
-    var i = 0
-    while (i < vecs.length) { assign(i) = model.assign(vecs(i)); i += 1 }
-    IvfPartition(nlist, assign, model.centroids)
+    IvfPartition(nlist, model.assignAll(vecs), model.centroids)
   }
 }
 

@@ -1,10 +1,18 @@
 package repro.ivf
 
 import java.util.Random
+import java.util.stream.IntStream
 import repro.core.{Kernels, PdxLayout}
 
 /** Seeded Lloyd k-means — the "non-optimized Lloyd algorithm" the paper's
   * IVF index uses to form buckets (§2.1). Deterministic in (data, k, seed).
+  *
+  * The assignment pass, one independent nearest-centroid question per
+  * vector, runs on all cores ([[Model.assignAll]]); the centroid sums, the
+  * counts and the reseeding of empty clusters run on the calling thread in
+  * index order, so the result has the same bits for any number of threads.
+  * The paper disables multi-threading only for the searches it times, and
+  * so does every query path here.
   */
 object KMeans {
 
@@ -25,11 +33,22 @@ object KMeans {
       }
       best
     }
+
+    /** `assign` of every vector: entry i is exactly `assign(vecs(i))`. The
+      * vectors are split over the threads of the ForkJoin pool that calls
+      * it (the common pool unless called from inside another pool).
+      */
+    def assignAll(vecs: IndexedSeq[Array[Float]]): Array[Int] = {
+      val out = new Array[Int](vecs.length)
+      IntStream.range(0, vecs.length).parallel().forEach(i => out(i) = assign(vecs(i)))
+      out
+    }
   }
 
   /** Fit k centroids with `iters` Lloyd iterations. Initial centroids are a
     * seeded sample without replacement; clusters that empty out are reseeded
-    * to a random point so `k` buckets always survive.
+    * to a random point so `k` buckets always survive. Every vector must have
+    * the first one's length and only finite values.
     */
   def fit(vecs: IndexedSeq[Array[Float]], k: Int, iters: Int = 10,
           seed: Long = 23): Model = {
@@ -37,6 +56,7 @@ object KMeans {
     require(k > 0 && k <= vecs.length, s"k=$k out of range for n=${vecs.length}")
     val n = vecs.length
     val d = vecs.head.length
+    requireUniformFinite(vecs, d)
     val rnd = new Random(seed)
 
     // Seeded distinct-index sample for the initial centroids.
@@ -51,14 +71,14 @@ object KMeans {
     val counts = new Array[Int](k)
     var iter = 0
     while (iter < iters) {
-      val model = Model(centroids)
+      val assign = Model(centroids).assignAll(vecs)
       var c = 0
       while (c < k) { java.util.Arrays.fill(sums(c), 0.0); c += 1 }
       java.util.Arrays.fill(counts, 0)
       var i = 0
       while (i < n) {
         val v = vecs(i)
-        val a = model.assign(v)
+        val a = assign(i)
         counts(a) += 1
         val s = sums(a)
         var j = 0
@@ -76,5 +96,25 @@ object KMeans {
       iter += 1
     }
     Model(centroids)
+  }
+
+  /** Fails, naming the vector, the position and the value, unless every
+    * vector has `d` values and all of them are finite: a longer vector would
+    * be silently truncated by the kernel, and a NaN one would land in
+    * cluster 0 and turn its centroid into NaN.
+    */
+  private def requireUniformFinite(vecs: IndexedSeq[Array[Float]], d: Int): Unit = {
+    var i = 0
+    while (i < vecs.length) {
+      val v = vecs(i)
+      require(v.length == d, s"k-means: vector $i has ${v.length} dimensions but vector 0 has $d")
+      var j = 0
+      while (j < d) {
+        require(java.lang.Float.isFinite(v(j)),
+                s"k-means: vector $i has the non-finite value ${v(j)} at position $j")
+        j += 1
+      }
+      i += 1
+    }
   }
 }

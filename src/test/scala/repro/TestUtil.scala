@@ -1,5 +1,6 @@
 package repro
 
+import java.util.concurrent.{Callable, ForkJoinPool}
 import repro.core.Kernels
 
 /** Shared assertions for search-result exactness.
@@ -20,6 +21,16 @@ object TestUtil {
     (0 until samples).foreach { i =>
       gen(params, org.scalacheck.rng.Seed(1000L + i)).foreach(f)
     }
+  }
+
+  /** `f` evaluated in a ForkJoinPool of 1 thread, in one of 3 threads and
+    * in the calling thread's (common) pool: a parallel stream runs in the
+    * pool whose thread starts it. Both pools are shut down afterwards.
+    */
+  def inPools[T](f: => T): Seq[T] = {
+    val pools = Seq(new ForkJoinPool(1), new ForkJoinPool(3))
+    try pools.map(_.submit(new Callable[T] { def call(): T = f }).get()) :+ f
+    finally pools.foreach(_.shutdownNow())
   }
 
   final case class ExactCheck(ok: Boolean, message: String)

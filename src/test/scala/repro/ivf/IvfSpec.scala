@@ -54,6 +54,46 @@ class IvfSpec extends AnyFunSuite {
     intercept[IllegalArgumentException] { KMeans.fit(IndexedSeq(Array(1f)), 2) }
   }
 
+  test("KMeans rejects a vector whose length differs from the first, naming it") {
+    val vecs = clustered(50, 6, seed = 4).vectors.toVector
+    for (len <- Seq(5, 7)) {
+      val e = intercept[IllegalArgumentException] {
+        KMeans.fit(vecs.updated(17, new Array[Float](len)), 3)
+      }
+      assert(e.getMessage.contains(s"vector 17 has $len dimensions but vector 0 has 6"), e.getMessage)
+    }
+  }
+
+  test("KMeans rejects a non-finite value, naming the vector, the position and the value") {
+    val vecs = clustered(50, 6, seed = 5).vectors.toVector
+    for (x <- Seq(Float.NaN, Float.PositiveInfinity, Float.NegativeInfinity)) {
+      val bad = vecs(23).clone()
+      bad(4) = x
+      val e = intercept[IllegalArgumentException](KMeans.fit(vecs.updated(23, bad), 3))
+      assert(e.getMessage.contains(s"vector 23 has the non-finite value $x at position 4"), e.getMessage)
+      intercept[IllegalArgumentException](Ivf.partition(vecs.updated(23, bad), 3))
+    }
+  }
+
+  test("KMeans.assignAll is assign of every vector") {
+    val vecs = clustered(2000, 16, seed = 6).vectors
+    val model = KMeans.fit(vecs, 12, iters = 3, seed = 8)
+    val all = model.assignAll(vecs)
+    assert(all.length == vecs.length)
+    vecs.indices.foreach(i => assert(all(i) == model.assign(vecs(i)), s"vector $i"))
+  }
+
+  test("KMeans.fit and Ivf.partition give the same bits in pools of 1 and 3 threads and the common pool") {
+    val vecs = clustered(3000, 24, seed = 10, skewed = true).vectors
+    val fits = TestUtil.inPools(KMeans.fit(vecs, 20, seed = 12).centroids)
+    val parts = TestUtil.inPools(Ivf.partition(vecs, 20, seed = 12))
+    for (centroids <- fits.tail ++ parts.map(_.rawCentroids); c <- 0 until 20)
+      assert(java.util.Arrays.equals(centroids(c), fits.head(c)), s"centroid $c")
+    parts.tail.foreach(p => assert(java.util.Arrays.equals(p.assign, parts.head.assign)))
+    val model = KMeans.Model(fits.head)
+    vecs.indices.foreach(i => assert(parts.head.assign(i) == model.assign(vecs(i)), s"vector $i"))
+  }
+
   // ---------------- IVF build ----------------
 
   test("Ivf.partition covers every vector and respects nlist") {

@@ -1,6 +1,7 @@
 package repro.prune
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestUtil
 import repro.core.{Kernels, PdxLayout, Pruner}
 import repro.data.VectorData
 
@@ -191,8 +192,42 @@ class PrunerSpec extends AnyFunSuite {
       val e1 = intercept[IllegalArgumentException](pruner.prepareQuery(v))
       assert(e1.getMessage.contains(s"query has $len dimensions but the block has $d"), pruner.name)
       val e2 = intercept[IllegalArgumentException](pruner.transformData(IndexedSeq(v)))
-      assert(e2.getMessage.contains(s"query has $len dimensions but the block has $d"), pruner.name)
+      assert(e2.getMessage.contains(s"data vector 0 has $len dimensions but the pruner has $d"), pruner.name)
     }
+  }
+
+  private def rejectsWrongLengthDataVector(pruner: Pruner): Unit = {
+    val d = pruner.d
+    val vecs = VectorData.gaussian(6, d, seed = 41).toVector
+    for (len <- Seq(d - 1, d + 1)) {
+      val bad = vecs.updated(4, VectorData.gaussian(1, len, seed = 42).head)
+      val e = intercept[IllegalArgumentException](pruner.transformData(bad))
+      assert(e.getMessage.contains(s"data vector 4 has $len dimensions but the pruner has $d"),
+             s"${pruner.name}: ${e.getMessage}")
+    }
+  }
+
+  test("ADSampling.transformData names the data vector of the wrong length") {
+    rejectsWrongLengthDataVector(new AdSampling(16, seed = 43))
+  }
+
+  test("BSA.transformData names the data vector of the wrong length") {
+    rejectsWrongLengthDataVector(Bsa.fit(VectorData.gaussian(200, 16, seed = 44)))
+  }
+
+  test("transformData gives the same bits in pools of 1 and 3 threads and the common pool") {
+    val d = 32
+    val vecs = VectorData.gaussian(2000, d, seed = 45)
+    val bsa = Bsa.fit(VectorData.gaussian(300, d, seed = 46))
+    for (pruner <- Seq[Pruner](new AdSampling(d, seed = 47), bsa)) {
+      val runs = TestUtil.inPools(pruner.transformData(vecs))
+      vecs.indices.foreach { i =>
+        val one = pruner.transformVector(vecs(i))
+        runs.foreach(r => assert(java.util.Arrays.equals(r(i), one), s"${pruner.name} vector $i"))
+      }
+    }
+    val bond = new Bond(d)
+    assert(TestUtil.inPools(bond.transformData(vecs)).forall(_ eq vecs))
   }
 
   // ---------------- PDX-BOND ----------------

@@ -79,7 +79,10 @@ def host_info():
             cpu = names[0]
     except OSError:
         pass
+    # The IVF build runs on every CPU the process may use, so setup_s depends
+    # on usable_cpus (the affinity mask), which can be fewer than cpus.
     return {"node": platform.node(), "cpu": cpu, "cpus": os.cpu_count(),
+            "usable_cpus": len(os.sched_getaffinity(0)),
             "os": platform.platform(), "python": platform.python_version()}
 
 
