@@ -32,7 +32,7 @@ final case class PdxBlock(
   /** Suffix squared norm of vector i from dimension j (inclusive). */
   @inline def suffix(i: Int, j: Int): Float = suffixSqNorms(i * (d + 1) + j)
 
-  /** Reconstruct the i-th vector horizontally (test/debug helper). */
+  /** Reconstruct the i-th vector horizontally. */
   def vectorAt(i: Int): Array[Float] = {
     val out = new Array[Float](d)
     var dim = 0
@@ -48,13 +48,14 @@ object PdxLayout {
     */
   val DefaultBlockSize = 64
 
-  /** Pack `vecs` into PDX blocks of at most `blockSize` vectors, preserving
-    * order. `withSuffixNorms` materializes the BSA metadata
+  /** Pack `vecs` into PDX blocks of at most `blockSize` (> 0) vectors,
+    * preserving order. `withSuffixNorms` materializes the BSA metadata
     * ([[suffixSqNorms]] per vector).
     */
   def pack(vecs: IndexedSeq[Array[Float]], ids: IndexedSeq[Long],
            blockSize: Int = DefaultBlockSize,
            withSuffixNorms: Boolean = false): Vector[PdxBlock] = {
+    require(blockSize > 0, s"blockSize must be positive, got $blockSize")
     require(vecs.length == ids.length, "vecs / ids length mismatch")
     if (vecs.isEmpty) return Vector.empty
     val d = vecs.head.length
@@ -91,10 +92,6 @@ object PdxLayout {
     while (dim < d) { means(dim) = (meansD(dim) / n).toFloat; dim += 1 }
     PdxBlock(groupIds.toArray, n, d, data, means, suffix)
   }
-
-  /** Unpack a block back to (id, vector) pairs — inverse of pack. */
-  def unpack(b: PdxBlock): IndexedSeq[(Long, Array[Float])] =
-    (0 until b.n).map(i => (b.ids(i), b.vectorAt(i)))
 
   /** Suffix squared norms of `v` into `out(base until base + d + 1)`:
     * `out(base + j) = Σ_{t≥j} v(t)²`, accumulated in double from the last

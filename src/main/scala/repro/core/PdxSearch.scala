@@ -26,7 +26,7 @@ package repro.core
   * single-threaded use only (create one searcher per thread/partition).
   */
 final class PdxSearcher(val k: Int, profiler: SearchProfiler = null) {
-  require(k > 0)
+  require(k > 0, s"k must be positive, got $k")
 
   private final val SelectivityThreshold = 0.2 // surviving fraction that starts PRUNE (§6.6)
   private var acc: Array[Float] = Array.emptyFloatArray

@@ -51,7 +51,7 @@ trait PreparedQuery {
 
 /** A dimension-pruning strategy: data-space transform + per-query bound.
   * Implementations: [[repro.prune.AdSampling]], [[repro.prune.Bsa]],
-  * [[repro.prune.Bond]], [[Pruner.NeverPrune]].
+  * [[repro.prune.Bond]].
   */
 trait Pruner extends Serializable {
   def name: String
@@ -61,11 +61,6 @@ trait Pruner extends Serializable {
 
   /** Whether blocks must materialize per-vector suffix squared norms. */
   def needsSuffixNorms: Boolean = false
-
-  /** True if full-scan results are bit-identical to brute force (no recall
-    * trade-off).
-    */
-  def isExact: Boolean
 
   /** Map one raw-space vector into search space (identity for raw-space
     * pruners). Pruners that transform check the vector's length here.
@@ -90,34 +85,4 @@ trait Pruner extends Serializable {
   }
 
   def prepareQuery(q: Array[Float]): PreparedQuery
-}
-
-object Pruner {
-
-  /** Sequential, never-pruning pruner: drives PDXearch as a plain PDX
-    * linear scan (the PDX-LINEAR-SCAN competitor of §6.5).
-    */
-  final case class NeverPrune(d: Int) extends Pruner {
-    val name = "linear"
-    val isExact = true
-    def prepareQuery(q: Array[Float]): PreparedQuery = new PreparedQuery {
-      val query: Array[Float] = q
-      def order(means: Array[Float]): Array[Int] = null
-      def bound(partial: Float, dimsVisited: Int, vecSuffixSq: Float): Float =
-        Float.NegativeInfinity
-    }
-  }
-
-  /** Exact partial-distance pruner with sequential access — the simplest
-    * lower bound (§2.3: "the partially computed distance itself").
-    */
-  final case class PartialDistance(d: Int) extends Pruner {
-    val name = "partial-seq"
-    val isExact = true
-    def prepareQuery(q: Array[Float]): PreparedQuery = new PreparedQuery {
-      val query: Array[Float] = q
-      def order(means: Array[Float]): Array[Int] = null
-      def bound(partial: Float, dimsVisited: Int, vecSuffixSq: Float): Float = partial
-    }
-  }
 }

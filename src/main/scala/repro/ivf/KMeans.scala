@@ -21,8 +21,12 @@ object KMeans {
     private val d: Int = if (k > 0) centroids(0).length else 0
     private val packed: Array[Float] = PdxLayout.packNary(centroids.toIndexedSeq)
 
-    /** Nearest centroid of v (ties → lowest index, deterministic). */
+    /** Nearest centroid of v (ties → lowest index, deterministic). `v`
+      * must have the centroids' length: the kernel reads d values, so a
+      * longer vector would be silently truncated.
+      */
     def assign(v: Array[Float]): Int = {
+      require(v.length == d, s"k-means: the vector has ${v.length} dimensions but the centroids have $d")
       var best = 0
       var bestDist = Float.PositiveInfinity
       var c = 0
@@ -34,11 +38,17 @@ object KMeans {
       best
     }
 
-    /** `assign` of every vector: entry i is exactly `assign(vecs(i))`. The
-      * vectors are split over the threads of the ForkJoin pool that calls
-      * it (the common pool unless called from inside another pool).
+    /** `assign` of every vector: entry i is exactly `assign(vecs(i))`. Every
+      * length is checked first, on the calling thread, naming the vector;
+      * then the vectors are split over the threads of the ForkJoin pool
+      * that calls it (the common pool unless called from inside another
+      * pool).
       */
     def assignAll(vecs: IndexedSeq[Array[Float]]): Array[Int] = {
+      vecs.indices.foreach { i =>
+        require(vecs(i).length == d,
+                s"k-means: vector $i has ${vecs(i).length} dimensions but the centroids have $d")
+      }
       val out = new Array[Int](vecs.length)
       IntStream.range(0, vecs.length).parallel().forEach(i => out(i) = assign(vecs(i)))
       out

@@ -17,55 +17,6 @@ final case class Mat(rows: Int, cols: Int, a: Array[Double]) {
   @inline def apply(i: Int, j: Int): Double = a(i * cols + j)
   @inline def update(i: Int, j: Int, v: Double): Unit = a(i * cols + j) = v
 
-  /** Matrix transpose. */
-  def t: Mat = {
-    val out = new Array[Double](rows * cols)
-    var i = 0
-    while (i < rows) {
-      var j = 0
-      while (j < cols) { out(j * rows + i) = a(i * cols + j); j += 1 }
-      i += 1
-    }
-    Mat(cols, rows, out)
-  }
-
-  /** Dense matrix product `this * other`. */
-  def *(other: Mat): Mat = {
-    require(cols == other.rows, s"inner dims: $cols != ${other.rows}")
-    val m = rows; val n = other.cols; val k = cols
-    val out = new Array[Double](m * n)
-    var i = 0
-    while (i < m) {
-      var p = 0
-      while (p < k) {
-        val aip = a(i * k + p)
-        if (aip != 0.0) {
-          val bRow = p * n
-          val oRow = i * n
-          var j = 0
-          while (j < n) { out(oRow + j) += aip * other.a(bRow + j); j += 1 }
-        }
-        p += 1
-      }
-      i += 1
-    }
-    Mat(m, n, out)
-  }
-
-  /** `this * v` for a dense vector. */
-  def mulVec(v: Array[Double]): Array[Double] = {
-    require(v.length == cols)
-    val out = new Array[Double](rows)
-    var i = 0
-    while (i < rows) {
-      var s = 0.0; var j = 0; val base = i * cols
-      while (j < cols) { s += a(base + j) * v(j); j += 1 }
-      out(i) = s
-      i += 1
-    }
-    out
-  }
-
   /** Row-major float copy of `a`, made once per fit: the form a fitted
     * rotation is kept and applied in ([[repro.core.Kernels.matVec]]).
     */
@@ -74,14 +25,6 @@ final case class Mat(rows: Int, cols: Int, a: Array[Double]) {
     var i = 0
     while (i < a.length) { out(i) = a(i).toFloat; i += 1 }
     out
-  }
-
-  /** Frobenius distance to another matrix (test helper). */
-  def frobDist(other: Mat): Double = {
-    require(rows == other.rows && cols == other.cols)
-    var s = 0.0; var i = 0
-    while (i < a.length) { val d = a(i) - other.a(i); s += d * d; i += 1 }
-    math.sqrt(s)
   }
 }
 
@@ -190,7 +133,7 @@ object Mat {
     *
     * Returns (eigenvalues, eigenvectors-as-rows) sorted by eigenvalue
     * descending — i.e. the returned matrix is the PCA rotation whose row i
-    * is the i-th principal axis, so `rot.mulVec(v)` puts the
+    * is the i-th principal axis, so multiplying a vector by it puts the
     * highest-variance component first (what BSA needs).
     *
     * `maxSweeps` bounds cost at O(maxSweeps * d^3); for the PCA use case a

@@ -21,7 +21,6 @@ final class AdSampling(val d: Int, val epsilon0: Double = 2.1, seed: Long = 17)
     extends Pruner {
 
   val name = "ADSampling"
-  val isExact = false
 
   /** The random rotation Ω, fitted in double and kept as row-major D x D
     * floats.

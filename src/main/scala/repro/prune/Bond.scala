@@ -28,7 +28,6 @@ final class Bond(val d: Int, val criteria: Bond.Criteria = Bond.DistanceToMeans)
     extends Pruner {
 
   val name = s"PDX-BOND(${criteria.label})"
-  val isExact = true
 
   def prepareQuery(q: Array[Float]): PreparedQuery = new PreparedQuery {
     val query: Array[Float] = q

@@ -37,7 +37,7 @@ final class Bsa(val d: Int, val multiplier: Double,
   require(cosQuantiles.length == d + 1, "need a cosine quantile per prefix length")
 
   val name = "BSA"
-  val isExact: Boolean = multiplier.isPosInfinity
+  private val exact: Boolean = multiplier.isPosInfinity
   override val needsSuffixNorms = true
 
   /** Approximate BSA never prunes before this many dims: the original BSA
@@ -46,7 +46,7 @@ final class Bsa(val d: Int, val multiplier: Double,
     * farther than true query neighbours, whose residuals stay correlated
     * longer). The exact mode has no such restriction.
     */
-  val minDims: Int = if (isExact) 0 else math.max(1, math.min(32, d / 4))
+  val minDims: Int = if (exact) 0 else math.max(1, math.min(32, d / 4))
 
   /** 2·c(dv), precomputed per prefix length. */
   private val cross2: Array[Float] = Array.tabulate(d + 1) { dv =>

@@ -9,23 +9,21 @@ import scala.jdk.CollectionConverters._
 
 /** One PDX block as a Spark row — the per-partition columnar block format
   * (repro-hint layering: blocks ↔ Parquet rowgroups, built and scanned
-  * inside executors). `data` is dimension-major with stride `n`;
-  * `suffix` is empty unless the block carries BSA metadata.
+  * inside executors). `data` is dimension-major with stride `n`. No Spark
+  * query uses a BSA bound, so the row carries no suffix norms.
   */
 final case class PdxBlockRow(
     ids: Array[Long],
     n: Int,
     d: Int,
     data: Array[Float],
-    means: Array[Float],
-    suffix: Array[Float]
+    means: Array[Float]
 ) {
-  def toBlock: PdxBlock = PdxBlock(ids, n, d, data, means, suffix)
+  def toBlock: PdxBlock = PdxBlock(ids, n, d, data, means, Array.emptyFloatArray)
 }
 
 object PdxBlockRow {
-  def from(b: PdxBlock): PdxBlockRow =
-    PdxBlockRow(b.ids, b.n, b.d, b.data, b.means, b.suffixSqNorms)
+  def from(b: PdxBlock): PdxBlockRow = PdxBlockRow(b.ids, b.n, b.d, b.data, b.means)
 }
 
 /** Spark-side PDX: pack a vector DataFrame into per-partition PDX blocks
@@ -62,10 +60,10 @@ object PdxSpark {
   }
 
   /** Pack a vector DataFrame into PDX blocks, one stream of blocks per
-    * partition.
+    * partition. A non-positive `blockSize` fails here, on the driver.
     */
-  def pack(df: DataFrame, blockSize: Int = PdxLayout.DefaultBlockSize,
-           withSuffixNorms: Boolean = false): Dataset[PdxBlockRow] = {
+  def pack(df: DataFrame, blockSize: Int = PdxLayout.DefaultBlockSize): Dataset[PdxBlockRow] = {
+    require(blockSize > 0, s"blockSize must be positive, got $blockSize")
     val spark = df.sparkSession
     import spark.implicits._
     df.select(col("id").cast("long"), col("vec"))
@@ -74,7 +72,7 @@ object PdxSpark {
         it.grouped(blockSize).map { group =>
           val vecs = group.map(_._2).toIndexedSeq
           val ids = group.map(_._1).toIndexedSeq
-          PdxBlockRow.from(PdxLayout.packOne(vecs, ids, vecs.head.length, withSuffixNorms))
+          PdxBlockRow.from(PdxLayout.packOne(vecs, ids, vecs.head.length, withSuffixNorms = false))
         }
       }
   }
@@ -134,29 +132,6 @@ object PdxSpark {
     blocks.sparkSession.createDataFrame(rows.asJava, KnnSchema)
   }
 
-  /** Count of vectors within squared L2 radius `r2` of the query — a
-    * second query shape for the DuckDB oracle (range count). One job over
-    * `blocks.rdd` counts per partition; the driver sums the counts into a
-    * local one-row DataFrame `c`.
-    */
-  def rangeCount(blocks: Dataset[PdxBlockRow], query: Array[Float], r2: Double): DataFrame = {
-    requireFinite(query)
-    val total = blocks.rdd.mapPartitions { it =>
-      var count = 0L
-      var acc = Array.emptyFloatArray
-      it.foreach { row =>
-        val b = row.toBlock
-        if (acc.length < b.n) acc = new Array[Float](b.n)
-        LinearScan.scoreBlock(b, query, acc)
-        var i = 0
-        while (i < b.n) { if (acc(i) < r2) count += 1; i += 1 }
-      }
-      Iterator.single(count)
-    }.collect().sum
-    blocks.sparkSession.createDataFrame(Seq(Row(total)).asJava,
-                                        StructType(Seq(StructField("c", LongType, nullable = false))))
-  }
-
   /** Register the `pdx_block_knn(data, n, d, ids, query, k)` UDF: scans one
     * PDX block dimension-at-a-time and returns its local top-k as
     * `array<struct<id, dist>>` — the SQL-facing dimension-scan path.
@@ -173,10 +148,4 @@ object PdxSpark {
       }
     )
   }
-
-  /** Long-format (id, dim, val) view of a vector DataFrame — the shape both
-    * Spark and DuckDB can aggregate for oracle checks.
-    */
-  def explodeVectors(df: DataFrame): DataFrame =
-    df.select(col("id"), posexplode(col("vec")).as(Seq("dim", "val")))
 }

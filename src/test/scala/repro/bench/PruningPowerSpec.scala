@@ -2,7 +2,7 @@ package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
-import repro.core.{NaryBucket, NarySearcher, Pruner}
+import repro.core.{NaryBucket, NarySearcher, TestPruners}
 import repro.data.VectorData
 import repro.prune.{AdSampling, Bond, Bsa}
 
@@ -13,7 +13,7 @@ class PruningPowerSpec extends AnyFunSuite {
 
   test("NeverPrune yields zero pruning power") {
     val ds = clustered(200, 16, seed = 1)
-    val power = PruningPower.perQuery(ds.vectors, Pruner.NeverPrune(16), ds.queries)
+    val power = PruningPower.perQuery(ds.vectors, TestPruners.NeverPrune(16), ds.queries)
     assert(power.forall(_ == 0.0))
   }
 

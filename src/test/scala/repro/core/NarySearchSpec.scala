@@ -52,7 +52,7 @@ class NarySearchSpec extends AnyFunSuite {
       )
       val searcher = new NarySearcher(10, deltaD)
       ds.queries.foreach { q =>
-        val heap = searcher.search(buckets, q, Pruner.PartialDistance(d))
+        val heap = searcher.search(buckets, q, TestPruners.PartialDistance(d))
         TestUtil.assertExactKnn(heap.sorted, ds.vectors, q, 10)
       }
     }
@@ -91,8 +91,8 @@ class NarySearchSpec extends AnyFunSuite {
     val nb = NaryBucket.pack(ds.vectors, ds.ids)
     val pb = PdxLayout.pack(ds.vectors, ds.ids, 64)
     val q = ds.queries.head
-    val a = new NarySearcher(10, deltaD = d / 4).search(Seq(nb), q, Pruner.PartialDistance(d)).idsSorted
-    val b = new PdxSearcher(10).search(pb, q, Pruner.PartialDistance(d)).idsSorted
+    val a = new NarySearcher(10, deltaD = d / 4).search(Seq(nb), q, TestPruners.PartialDistance(d)).idsSorted
+    val b = new PdxSearcher(10).search(pb, q, TestPruners.PartialDistance(d)).idsSorted
     assert(a.toSet == b.toSet)
   }
 
@@ -102,7 +102,7 @@ class NarySearchSpec extends AnyFunSuite {
     val prof = new SearchProfiler
     val searcher = new NarySearcher(10, deltaD = d / 4, prof)
     val bucket = NaryBucket.pack(ds.vectors, ds.ids)
-    searcher.search(Seq(bucket), ds.queries.head, Pruner.PartialDistance(d))
+    searcher.search(Seq(bucket), ds.queries.head, TestPruners.PartialDistance(d))
     assert(prof.dimValuesScanned > 0 && prof.dimValuesScanned <= 800L * d)
     assert(prof.distanceNanos > 0)
   }
@@ -135,7 +135,6 @@ class NarySearchSpec extends AnyFunSuite {
     var askedWith: Array[Float] = null
     val probe = new Pruner {
       val name = "order-probe"
-      val isExact = true
       val d: Int = 4
       def prepareQuery(q: Array[Float]): PreparedQuery = new PreparedQuery {
         val query: Array[Float] = q

@@ -15,7 +15,7 @@ class PdxLayoutSpec extends AnyFunSuite {
       assert(blocks.length == (n + bs - 1) / bs)
       assert(blocks.map(_.n).sum == n)
       assert(blocks.forall(_.n <= bs))
-      val back = blocks.flatMap(PdxLayout.unpack)
+      val back = blocks.flatMap(b => (0 until b.n).map(i => (b.ids(i), b.vectorAt(i))))
       assert(back.length == n)
       back.zipWithIndex.foreach { case ((id, v), i) =>
         assert(id == ids(i))
@@ -32,6 +32,13 @@ class PdxLayoutSpec extends AnyFunSuite {
     val vecs = IndexedSeq(Array(1f, 2f), Array(1f, 2f, 3f))
     intercept[IllegalArgumentException] {
       PdxLayout.pack(vecs, IndexedSeq(0L, 1L), 64)
+    }
+  }
+
+  test("pack rejects a non-positive blockSize") {
+    for (bs <- Seq(0, -1)) {
+      val e = intercept[IllegalArgumentException](PdxLayout.pack(IndexedSeq(Array(1f)), IndexedSeq(0L), bs))
+      assert(e.getMessage.contains(s"blockSize must be positive, got $bs"))
     }
   }
 
@@ -124,8 +131,8 @@ class PdxLayoutSpec extends AnyFunSuite {
     forAllSampled(gen, samples = 30) { case (n, d, bs) =>
       val vecs = VectorData.gaussian(n, d, seed = n * 100L + d * 10L + bs)
       val blocks = PdxLayout.pack(vecs, vecs.indices.map(_.toLong), bs)
-      val back = blocks.flatMap(PdxLayout.unpack)
-      assert(back.map(_._2.toSeq) == vecs.map(_.toSeq))
+      val back = blocks.flatMap(b => (0 until b.n).map(b.vectorAt))
+      assert(back.map(_.toSeq) == vecs.map(_.toSeq))
     }
   }
 

@@ -22,7 +22,7 @@ class PdxSearchSpec extends AnyFunSuite {
       val blocks = PdxLayout.pack(ds.vectors, ds.ids, bs)
       val searcher = new PdxSearcher(k)
       ds.queries.foreach { q =>
-        val heap = searcher.search(blocks, q, Pruner.PartialDistance(d))
+        val heap = searcher.search(blocks, q, TestPruners.PartialDistance(d))
         TestUtil.assertExactKnn(heap.sorted, ds.vectors, q, k)
       }
     }
@@ -47,7 +47,7 @@ class PdxSearchSpec extends AnyFunSuite {
     val blocks = PdxLayout.pack(ds.vectors, ds.ids, 64)
     val searcher = new PdxSearcher(10)
     ds.queries.foreach { q =>
-      val a = searcher.search(blocks, q, Pruner.NeverPrune(d)).sorted
+      val a = searcher.search(blocks, q, TestPruners.NeverPrune(d)).sorted
       val b = LinearScan.pdxKnn(blocks, q, 10).sorted
       assert(a.map(_._1) == b.map(_._1))
     }
@@ -62,7 +62,7 @@ class PdxSearchSpec extends AnyFunSuite {
       val q = VectorData.gaussian(1, len, seed = len.toLong).head
       val e1 = intercept[IllegalArgumentException](LinearScan.pdxKnn(blocks, q, 10))
       assert(e1.getMessage.contains(s"query has $len dimensions but the block has $d"))
-      val e2 = intercept[IllegalArgumentException](searcher.search(blocks, q, Pruner.PartialDistance(d)))
+      val e2 = intercept[IllegalArgumentException](searcher.search(blocks, q, TestPruners.PartialDistance(d)))
       assert(e2.getMessage.contains(s"query has $len dimensions but the block has $d"))
     }
   }
@@ -121,7 +121,6 @@ class PdxSearchSpec extends AnyFunSuite {
     var firstAsked = -1
     val probe = new Pruner {
       val name = "probe"
-      val isExact = true
       val d: Int = 64
       def prepareQuery(q: Array[Float]): PreparedQuery = new PreparedQuery {
         val query: Array[Float] = q
@@ -145,7 +144,6 @@ class PdxSearchSpec extends AnyFunSuite {
     var orderCalls = 0
     val probe = new Pruner {
       val name = "order-probe"
-      val isExact = true
       val d: Int = 16
       def prepareQuery(q: Array[Float]): PreparedQuery = new PreparedQuery {
         val query: Array[Float] = q
@@ -179,7 +177,7 @@ class PdxSearchSpec extends AnyFunSuite {
     val searcher = new PdxSearcher(5, prof)
     var warmupExits = 0
     var pruneExits = 0
-    for (q <- ds.queries; pruner <- Seq(new Bond(d, Bond.DistanceToMeans), Pruner.NeverPrune(d))) {
+    for (q <- ds.queries; pruner <- Seq(new Bond(d, Bond.DistanceToMeans), TestPruners.NeverPrune(d))) {
       val pq = pruner.prepareQuery(q)
       val heap = new KnnHeap(5)
       blocks.foreach { b =>
@@ -215,7 +213,7 @@ class PdxSearchSpec extends AnyFunSuite {
       val q = new Array[Float](d)
       val prof = new SearchProfiler
       val searcher = new PdxSearcher(k, prof)
-      val pq = Pruner.PartialDistance(d).prepareQuery(q)
+      val pq = TestPruners.PartialDistance(d).prepareQuery(q)
       val heap = new KnnHeap(k)
       blocks.zipWithIndex.foreach { case (b, bi) =>
         val dims0 = prof.dimValuesScanned
@@ -227,6 +225,13 @@ class PdxSearchSpec extends AnyFunSuite {
         }
       }
       TestUtil.assertExactKnn(heap.sorted, vecs, q, k)
+    }
+  }
+
+  test("PdxSearcher rejects a non-positive k, naming it") {
+    for (k <- Seq(0, -3)) {
+      val e = intercept[IllegalArgumentException](new PdxSearcher(k))
+      assert(e.getMessage.contains(s"k must be positive, got $k"), e.getMessage)
     }
   }
 

@@ -83,6 +83,18 @@ class IvfSpec extends AnyFunSuite {
     vecs.indices.foreach(i => assert(all(i) == model.assign(vecs(i)), s"vector $i"))
   }
 
+  for ((kind, len) <- Seq("longer" -> 17, "shorter" -> 15)) {
+    test(s"KMeans.assign and assignAll reject a $kind vector than the centroids, assignAll naming it") {
+      val vecs = clustered(60, 16, seed = 7).vectors.toVector
+      val model = KMeans.fit(vecs, 4, iters = 2, seed = 9)
+      val bad = Array.tabulate(len)(j => if (j < 16) vecs(0)(j) else 1f)
+      val e1 = intercept[IllegalArgumentException](model.assign(bad))
+      assert(e1.getMessage.contains(s"the vector has $len dimensions but the centroids have 16"), e1.getMessage)
+      val e2 = intercept[IllegalArgumentException](model.assignAll(vecs.updated(41, bad)))
+      assert(e2.getMessage.contains(s"vector 41 has $len dimensions but the centroids have 16"), e2.getMessage)
+    }
+  }
+
   test("KMeans.fit and Ivf.partition give the same bits in pools of 1 and 3 threads and the common pool") {
     val vecs = clustered(3000, 24, seed = 10, skewed = true).vectors
     val fits = TestUtil.inPools(KMeans.fit(vecs, 20, seed = 12).centroids)
@@ -296,7 +308,7 @@ class IvfSpec extends AnyFunSuite {
     val searcher = new NarySearcher(10, deltaD = d / 4)
     for (len <- Seq(d - 1, d + 1)) {
       val q = VectorData.gaussian(1, len, seed = len.toLong).head
-      val pruner = Pruner.PartialDistance(len)
+      val pruner = TestPruners.PartialDistance(len)
       val calls = Seq[() => Any](
         () => idx.searchNary(q, 10, 4, pruner, searcher),
         () => idx.searchLinear(q, 10, 4),

@@ -6,6 +6,35 @@ import repro.data.VectorData
 
 class MatSpec extends AnyFunSuite {
 
+  /** Plain double-precision references the checks below are written in. */
+  private implicit class MatRef(m: Mat) {
+    import m.{a, cols, rows}
+
+    /** Matrix transpose. */
+    def t: Mat = Mat(cols, rows, Array.tabulate(rows * cols)(k => a((k % rows) * cols + k / rows)))
+
+    /** Dense matrix product `m * other`. */
+    def *(other: Mat): Mat = {
+      require(cols == other.rows, s"inner dims: $cols != ${other.rows}")
+      Mat(rows, other.cols, Array.tabulate(rows * other.cols) { k =>
+        val (i, j) = (k / other.cols, k % other.cols)
+        (0 until cols).map(p => a(i * cols + p) * other(p, j)).sum
+      })
+    }
+
+    /** `m * v` for a dense vector. */
+    def mulVec(v: Array[Double]): Array[Double] = {
+      require(v.length == cols)
+      Array.tabulate(rows)(i => (0 until cols).map(j => a(i * cols + j) * v(j)).sum)
+    }
+
+    /** Frobenius distance to another matrix. */
+    def frobDist(other: Mat): Double = {
+      require(rows == other.rows && cols == other.cols)
+      math.sqrt(a.indices.map(i => (a(i) - other.a(i)) * (a(i) - other.a(i))).sum)
+    }
+  }
+
   private def approxEq(a: Double, b: Double, tol: Double = 1e-9): Boolean =
     math.abs(a - b) <= tol * (1.0 + math.abs(a) + math.abs(b))
 

@@ -2,7 +2,7 @@ package repro.prune
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
-import repro.core.{Kernels, PdxLayout, Pruner}
+import repro.core.{Kernels, PdxLayout, Pruner, TestPruners}
 import repro.data.VectorData
 
 class PrunerSpec extends AnyFunSuite {
@@ -82,7 +82,11 @@ class PrunerSpec extends AnyFunSuite {
 
   test("ADSampling is not exact; needs no suffix norms") {
     val ads = new AdSampling(8)
-    assert(!ads.isExact && !ads.needsSuffixNorms)
+    assert(!ads.needsSuffixNorms)
+    // At D = 128 the estimate after one dimension is 128 / 3.1² ≈ 13 times
+    // the partial distance: for a vector whose whole distance lies in that
+    // dimension, the bound exceeds the full distance.
+    assert(new AdSampling(128).prepareQuery(new Array[Float](128)).bound(1f, 1, 0f) > 1f)
   }
 
   // ---------------- BSA ----------------
@@ -107,7 +111,6 @@ class PrunerSpec extends AnyFunSuite {
 
   test("BSA bound with m=1 is a true lower bound of the full distance") {
     val (bsa, ds) = bsaFixture()
-    assert(bsa.isExact)
     val tv = bsa.transformData(ds.vectors.take(50))
     val pq = bsa.prepareQuery(ds.queries.head)
     tv.foreach { v =>
@@ -154,8 +157,17 @@ class PrunerSpec extends AnyFunSuite {
 
   test("BSA requires suffix norms; m=1 is exact, m<1 is not") {
     val (bsa, ds) = bsaFixture()
-    assert(bsa.needsSuffixNorms && bsa.isExact)
-    assert(!Bsa.fit(ds.vectors, 0.9).isExact)
+    assert(bsa.needsSuffixNorms)
+    // A vector queried with itself is at distance 0. Halfway through, the
+    // exact bound stays at 0 (c = 1); the m < 1 bound, c < 1, exceeds it.
+    val v = ds.vectors.head
+    val dv = bsa.d / 2
+    for ((pruner, exact) <- Seq(bsa -> true, Bsa.fit(ds.vectors, 0.9) -> false)) {
+      val suffix = PdxLayout.querySuffixSqNorms(pruner.transformVector(v))(dv)
+      val b = pruner.prepareQuery(v).bound(0f, dv, suffix)
+      assert(suffix > 0f)
+      if (exact) assert(b <= 1e-4f * suffix, s"exact bound $b") else assert(b > 1e-4f * suffix, s"m<1 bound $b")
+    }
   }
 
   test("BSA PCA concentrates partial distance early vs raw order") {
@@ -283,21 +295,20 @@ class PrunerSpec extends AnyFunSuite {
 
   test("Bond is exact, needs no transform or suffix norms") {
     val b = new Bond(4)
-    assert(b.isExact && !b.needsSuffixNorms)
+    assert(b.prepareQuery(new Array[Float](4)).isPartialBound && !b.needsSuffixNorms)
     val vecs = VectorData.gaussian(2, 4, seed = 33)
     assert(b.transformData(vecs) eq vecs)
   }
 
-  // ---------------- built-in pruners ----------------
+  // ---------------- test pruners ----------------
 
   test("NeverPrune bound never exceeds any threshold") {
-    val pq = Pruner.NeverPrune(5).prepareQuery(new Array[Float](5))
+    val pq = TestPruners.NeverPrune(5).prepareQuery(new Array[Float](5))
     assert(pq.bound(1e30f, 3, 0f) == Float.NegativeInfinity)
   }
 
   test("PartialDistance bound is exact and sequential") {
-    val p = Pruner.PartialDistance(5)
-    assert(p.isExact)
+    val p = TestPruners.PartialDistance(5)
     val pq = p.prepareQuery(new Array[Float](5))
     assert(pq.order(new Array[Float](5)) == null)
     assert(pq.bound(2f, 1, 0f) == 2f)

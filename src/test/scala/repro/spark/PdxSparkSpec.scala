@@ -6,7 +6,7 @@ import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.Dataset
 import org.apache.spark.sql.execution.LocalTableScanExec
 import repro.{SparkSpec, TestUtil}
-import repro.core.{Kernels, PdxLayout}
+import repro.core.Kernels
 import repro.data.VectorData
 
 class PdxSparkSpec extends SparkSpec {
@@ -37,18 +37,11 @@ class PdxSparkSpec extends SparkSpec {
     val blocks = PdxSpark.pack(df, blockSize = 32).collect()
     blocks.foreach { row =>
       val b = row.toBlock
-      PdxLayout.unpack(b).foreach { case (id, v) =>
-        assert(v.toSeq == ds.vectors(id.toInt).toSeq, s"vector $id corrupted")
+      (0 until b.n).foreach { i =>
+        val id = b.ids(i)
+        assert(b.vectorAt(i).toSeq == ds.vectors(id.toInt).toSeq, s"vector $id corrupted")
       }
     }
-  }
-
-  test("pack respects suffix-norm request") {
-    val df = PdxSpark.toVectorDF(spark, ds.vectors.take(100), numPartitions = 2)
-    val plain = PdxSpark.pack(df, 64).collect()
-    assert(plain.forall(_.suffix.isEmpty))
-    val withS = PdxSpark.pack(df, 64, withSuffixNorms = true).collect()
-    assert(withS.forall(r => r.suffix.length == r.n * (r.d + 1)))
   }
 
   for (parts <- Seq(1, 4)) {
@@ -153,14 +146,22 @@ class PdxSparkSpec extends SparkSpec {
     blocks.unpersist()
   }
 
+  test("pack rejects a non-positive blockSize on the driver, before any job") {
+    val df = PdxSpark.toVectorDF(spark, ds.vectors.take(100), numPartitions = 2)
+    for (bs <- Seq(0, -1)) {
+      val (e, jobs) = jobsOf(intercept[IllegalArgumentException](PdxSpark.pack(df, bs)))
+      assert(e.getMessage.contains(s"blockSize must be positive, got $bs"), e.getMessage)
+      assert(jobs == 0)
+    }
+  }
+
   test("knnExact, knnBond and rangeCount reject a NaN or infinite query value on the driver, before any job") {
     val blocks = PdxSpark.pack(PdxSpark.toVectorDF(spark, ds.vectors.take(200), numPartitions = 2), 64).cache()
     for ((pos, bad) <- Seq(3 -> Float.NaN, 0 -> Float.PositiveInfinity, 23 -> Float.NegativeInfinity)) {
       val q = ds.queries.head.clone()
       q(pos) = bad
       val (_, jobs) = jobsOf {
-        for (query <- Seq[Array[Float] => Any](PdxSpark.knnExact(blocks, _, 10), PdxSpark.knnBond(blocks, _, 10),
-                                               PdxSpark.rangeCount(blocks, _, 1.0))) {
+        for (query <- Seq[Array[Float] => Any](PdxSpark.knnExact(blocks, _, 10), PdxSpark.knnBond(blocks, _, 10))) {
           val e = intercept[IllegalArgumentException](query(q))
           assert(e.getMessage.contains(s"query value at position $pos is $bad"), e.getMessage)
         }
@@ -199,17 +200,6 @@ class PdxSparkSpec extends SparkSpec {
     assert(rowsPackedByQuery(cachedLate) == 200)
     assert(rowsPackedByQuery(cachedLate) == 200)
     cachedLate.unpersist()
-  }
-
-  test("rangeCount matches a local count") {
-    val df = PdxSpark.toVectorDF(spark, ds.vectors, numPartitions = 4)
-    val blocks = PdxSpark.pack(df, 64)
-    val q = ds.queries.head
-    val dists = ds.vectors.map(v => repro.core.Kernels.l2Ref(v, q))
-    val r2 = dists.sorted.apply(100) + 1e-6 // radius capturing ~101 vectors
-    val got = PdxSpark.rangeCount(blocks, q, r2).collect().head.getLong(0)
-    val expect = dists.count(_ < r2)
-    assert(got == expect, s"got $got expect $expect")
   }
 
   test("pdx_block_knn UDF returns the block-local top-k through Spark SQL") {

@@ -22,7 +22,8 @@ the base's interquartile range; failed/attempted operation counts; every
 run's values; the seeds, the host and the exact command, with the base
 resolved to its commit so that the file can be regenerated from it. The
 change side is named by its commit and, when the working tree has uncommitted
-changes to tracked files, by the SHA-256 of `git diff HEAD` as well.
+changes, by a SHA-256 as well: of `git diff HEAD`, followed by the path and
+contents of every untracked file that .gitignore does not exclude.
 perfbench's own log lines go to stderr.
 """
 
@@ -138,12 +139,17 @@ def main():
     seconds = spec["run_seconds"]
     base_rev = git(root, "rev-parse", args.base)
     head_rev = git(root, "rev-parse", "HEAD")
-    dirty = bool(git(root, "status", "--porcelain", "--untracked-files=no"))
+    untracked = [p for p in git(root, "ls-files", "--others", "--exclude-standard", "-z").split("\0") if p]
+    dirty = bool(git(root, "status", "--porcelain", "--untracked-files=no")) or bool(untracked)
     change = {"revision": head_rev, "uncommitted_changes": dirty}
     if dirty:
-        diff = subprocess.run(["git", "-C", root, "diff", "HEAD", "--binary"], check=True,
-                              capture_output=True).stdout
-        change["diff_sha256"] = hashlib.sha256(diff).hexdigest()
+        digest = hashlib.sha256(subprocess.run(["git", "-C", root, "diff", "HEAD", "--binary"],
+                                               check=True, capture_output=True).stdout)
+        for path in untracked:
+            digest.update(b"\0untracked\0" + path.encode() + b"\0")
+            with open(os.path.join(root, path), "rb") as f:
+                digest.update(f.read())
+        change["diff_sha256"] = digest.hexdigest()
 
     tmp = tempfile.mkdtemp(prefix="bench-pairs-")
     try:
