@@ -6,6 +6,5 @@ import repro.bench.{BenchConfig, BenchUtil, BreakdownBench}
 object Table7Job {
   def main(args: Array[String]): Unit =
     BenchUtil.report("table7_breakdown",
-                     BreakdownBench.run(BenchConfig.breakdownSpec,
-                                        targetRecall = BenchConfig.breakdownTargetRecall)._1)
+                     BreakdownBench.run(BenchConfig.breakdownSpec)._1)
 }

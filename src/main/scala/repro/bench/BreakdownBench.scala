@@ -12,8 +12,9 @@ import repro.prune.Bond
   * on the OpenAI-like high-dimensional dataset, at the nprobe reaching the
   * target recall.
   *
-  * Query prep and bucket selection are timed around their calls here;
-  * PDXearch phases are timed directly (batched loops). The N-ary searchers
+  * Every query runs `IvfIndex.searchPdx` or `searchNary`, which time query
+  * prep and bucket selection into the searcher's profiler; PDXearch phases
+  * are timed directly (batched loops). The N-ary searchers
   * interleave per-vector bound checks too fine-grained to time, so their
   * scan time is split using a calibrated per-evaluation bound cost
   * (DESIGN.md, substitution #5). Residual time (heap ops, dispatch) is
@@ -30,8 +31,9 @@ object BreakdownBench {
   }
 
   /** Wall-clock cost of one bound evaluation for a pruner (ns). */
-  def calibrateBoundNanos(pruner: Pruner, sampleQuery: Array[Float], d: Int): Double = {
+  def calibrateBoundNanos(pruner: Pruner, sampleQuery: Array[Float]): Double = {
     val pq = pruner.prepareQuery(sampleQuery)
+    val d = pruner.d
     val inner = 4096
     BenchUtil.timePerOp(minBatchNanos = 2_000_000L, reps = 5) {
       var i = 0
@@ -44,12 +46,12 @@ object BreakdownBench {
     } / inner
   }
 
-  def run(spec: DatasetSpec, k: Int = 10, nlist: Int = 0, targetRecall: Double = 0.95,
-          kmeansIters: Int = 8, quick: Boolean = false): (String, Seq[AlgoBreakdown]) = {
+  def run(spec: DatasetSpec, quick: Boolean = false): (String, Seq[AlgoBreakdown]) = {
+    val k = BenchConfig.K
     val ds = DatasetCache.dataset(spec)
     val n = ds.vectors.length
     val ids = ds.vectors.indices.map(_.toLong)
-    val lists = if (nlist > 0) nlist else math.max(4, math.sqrt(n.toDouble).round.toInt)
+    val lists = math.max(4, math.sqrt(n.toDouble).round.toInt)
     val gt = DatasetCache.groundTruth(spec, k)
     val queries = if (quick) ds.queries.take(8) else ds.queries
 
@@ -58,7 +60,7 @@ object BreakdownBench {
     val bond = new Bond(spec.d, Bond.DimensionZones)
 
     // Identical buckets for every competitor (§6.3): one raw-space k-means.
-    val part = Ivf.partition(ds.vectors, lists, kmeansIters, seed = spec.seed * 7 + 5)
+    val part = Ivf.partition(ds.vectors, lists, iters = 8, seed = spec.seed * 7 + 5)
     val rawIdx = IvfIndex.materialize(part, ds.vectors, ids, part.rawCentroids, withSuffixNorms = false)
     val adsIdx = IvfIndex.materialize(part, adsVecs, ids, part.rawCentroids.map(ads.transformVector), withSuffixNorms = false)
     val bsaIdx = IvfIndex.materialize(part, bsaVecs, ids, part.rawCentroids.map(bsa.transformVector), withSuffixNorms = true)
@@ -76,7 +78,7 @@ object BreakdownBench {
         val r = queries.indices.map { qi =>
           VectorData.recall(rawIdx.searchLinear(queries(qi), k, np).map(_._1), gt(qi))
         }
-        r.sum / r.length >= targetRecall
+        r.sum / r.length >= BenchConfig.breakdownTargetRecall
       }
       .map(np => math.max(np, floor))
       .getOrElse(lists)
@@ -91,47 +93,35 @@ object BreakdownBench {
     // the bound still gets a few chances to fire.
     val deltaD = math.min(32, math.max(1, spec.d / 4))
 
-    // One full query pass with a fresh profiler and searcher. Query prep
-    // and bucket selection are timed here, around the calls; the searcher
-    // times its own distance and bound loops.
-    final case class Pass(totalNs: Long, prepNs: Long, bucketsNs: Long,
-                          prof: SearchProfiler, recall: Double)
+    // One full query pass through the IVF index with a fresh profiler and
+    // searcher: the index times query prep and bucket selection, the
+    // searcher its distance and bound loops.
+    final case class Pass(totalNs: Long, prof: SearchProfiler, recall: Double)
 
     final case class Algo(name: String, idx: IvfIndex, pruner: Pruner, nary: Boolean)
 
     def runPass(a: Algo): Pass = {
       val prof = new SearchProfiler
-      val pdxSearcher = new PdxSearcher(k, prof)
-      val narySearcher = new NarySearcher(k, deltaD, prof)
-      var prepNs = 0L
-      var bucketsNs = 0L
+      val search: Array[Float] => IndexedSeq[(Long, Float)] =
+        if (a.nary) { val s = new NarySearcher(k, deltaD, prof); a.idx.searchNary(_, k, nprobe, a.pruner, s) }
+        else { val s = new PdxSearcher(k, prof); a.idx.searchPdx(_, k, nprobe, a.pruner, s) }
       var recallSum = 0.0
       val t0 = System.nanoTime()
       queries.indices.foreach { qi =>
-        val tPrep = System.nanoTime()
-        val pq = a.pruner.prepareQuery(queries(qi))
-        val tBuckets = System.nanoTime()
-        val probes = a.idx.nearestBuckets(pq.query, nprobe, usePdx = !a.nary).iterator.map(c => a.idx.bucketOf(c))
-        val tScan = System.nanoTime()
-        val heap = new KnnHeap(k)
-        if (a.nary) narySearcher.searchPrepared(probes.map(b => a.idx.naryBuckets(b)), pq, heap)
-        else pdxSearcher.searchPrepared(probes.map(b => a.idx.blocks(b)), pq, heap)
-        prepNs += tBuckets - tPrep
-        bucketsNs += tScan - tBuckets
-        recallSum += VectorData.recall(heap.idsSorted, gt(qi))
+        recallSum += VectorData.recall(search(queries(qi)).map(_._1), gt(qi))
       }
-      Pass(System.nanoTime() - t0, prepNs, bucketsNs, prof, recallSum / queries.length)
+      Pass(System.nanoTime() - t0, prof, recallSum / queries.length)
     }
 
     def breakdown(a: Algo, unitBound: Double, p: Pass): AlgoBreakdown = {
       val boundsNs = if (a.nary) p.prof.boundEvals * unitBound else p.prof.boundsNanos.toDouble
       val distNs0 = math.max(0.0, p.prof.distanceNanos - (if (a.nary) boundsNs else 0.0))
-      val accounted = distNs0 + p.bucketsNs + boundsNs + p.prepNs
+      val accounted = distNs0 + p.prof.bucketsNanos + boundsNs + p.prof.prepNanos
       // Fold unaccounted time (heap, iteration) into Distance Calculation.
       val distNs = distNs0 + math.max(0.0, p.totalNs - accounted)
       val toMs = 1e-6 / queries.length
-      AlgoBreakdown(a.name, p.totalNs * toMs, distNs * toMs, p.bucketsNs * toMs,
-                    boundsNs * toMs, p.prepNs * toMs, p.recall)
+      AlgoBreakdown(a.name, p.totalNs * toMs, distNs * toMs, p.prof.bucketsNanos * toMs,
+                    boundsNs * toMs, p.prof.prepNanos * toMs, p.recall)
     }
 
     val algos = Seq(
@@ -141,7 +131,7 @@ object BreakdownBench {
       Algo("PDX BSA", bsaIdx, bsa, nary = false),
       Algo("PDX BOND", rawIdx, bond, nary = false),
     )
-    val unitBounds = algos.map(a => if (a.nary) calibrateBoundNanos(a.pruner, queries.head, spec.d) else 0.0)
+    val unitBounds = algos.map(a => if (a.nary) calibrateBoundNanos(a.pruner, queries.head) else 0.0)
     algos.foreach(runPass) // warmup pass
     val measured = (0 until passes).map(_ => algos.map(runPass)).transpose
     val breakdowns = algos.lazyZip(unitBounds).lazyZip(measured).map { (a, unitBound, ps) =>
@@ -153,7 +143,7 @@ object BreakdownBench {
           "Bounds Evaluation", "Query Preprocessing", "recall@10"),
       breakdowns.map(_.row)
     ) + s"\nIVF query runtime breakdown on ${spec.label}: nlist=$lists, nprobe=$nprobe " +
-      s"(target recall $targetRecall), K=$k, ${queries.length} queries.\n"
+      s"(target recall ${BenchConfig.breakdownTargetRecall}), K=$k, ${queries.length} queries.\n"
     (table, breakdowns)
   }
 }

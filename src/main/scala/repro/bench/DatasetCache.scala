@@ -17,7 +17,7 @@ object DatasetCache {
 
   private val datasets = mutable.Map.empty[DatasetSpec, Dataset]
   private val adsSpaces = mutable.Map.empty[DatasetSpec, (AdSampling, IndexedSeq[Array[Float]])]
-  private val bsaSpaces = mutable.Map.empty[(DatasetSpec, Double), (Bsa, IndexedSeq[Array[Float]])]
+  private val bsaSpaces = mutable.Map.empty[DatasetSpec, (Bsa, IndexedSeq[Array[Float]])]
   private val truths = mutable.Map.empty[(DatasetSpec, Int), Array[Array[Long]]]
 
   def dataset(spec: DatasetSpec): Dataset =
@@ -31,13 +31,13 @@ object DatasetCache {
       (pruner, pruner.transformData(ds.vectors))
     }))
 
-  /** BSA pruner + the dataset in PCA space. Jacobi sweeps capped at 4: the
-    * energy concentration pruning needs converges in the first sweeps.
+  /** BSA pruner (multiplier 0.75) + the dataset in PCA space. Jacobi sweeps
+    * capped at 4: the energy concentration pruning needs converges first.
     */
-  def bsaSpace(spec: DatasetSpec, multiplier: Double = 0.75): (Bsa, IndexedSeq[Array[Float]]) =
-    synchronized(bsaSpaces.getOrElseUpdate((spec, multiplier), {
+  def bsaSpace(spec: DatasetSpec): (Bsa, IndexedSeq[Array[Float]]) =
+    synchronized(bsaSpaces.getOrElseUpdate(spec, {
       val ds = dataset(spec)
-      val pruner = Bsa.fit(ds.vectors, multiplier, seed = spec.seed * 31 + 2, maxSweeps = 4)
+      val pruner = Bsa.fit(ds.vectors, multiplier = 0.75, seed = spec.seed * 31 + 2, maxSweeps = 4)
       (pruner, pruner.transformData(ds.vectors))
     }))
 

@@ -46,8 +46,8 @@ object ExactSearchBench {
     def speedupOfBondOver(c: String): Double = qps("pdx-bond") / qps(c)
   }
 
-  def run(specs: Seq[DatasetSpec], k: Int = 10, quick: Boolean = false)
-      : (String, Seq[Row]) = {
+  def run(specs: Seq[DatasetSpec], quick: Boolean = false): (String, Seq[Row]) = {
+    val k = BenchConfig.K
     val rows = specs.map { spec =>
       val ds = DatasetCache.dataset(spec)
       val vecs = ds.vectors
@@ -93,16 +93,16 @@ object ExactSearchBench {
     * sweep locates the crossover the paper's in-memory experiments sit
     * beyond (their N is 0.3–10M).
     */
-  def dsmCrossover(ns: Seq[Int] = Seq(8_000, 64_000, 400_000, 2_000_000), d: Int = 32,
-                   quick: Boolean = false): (String, Seq[(Int, Double)]) = {
-    val results = ns.map { n =>
+  def dsmCrossover(): (String, Seq[(Int, Double)]) = {
+    val d = 32
+    val results = Seq(8_000, 64_000, 400_000, 2_000_000).map { n =>
       val vecs = VectorData.gaussian(n, d, seed = 1234L + n)
-      val queries = VectorData.gaussian(if (quick) 2 else 5, d, seed = 4321L + n)
+      val queries = VectorData.gaussian(5, d, seed = 4321L + n)
       val dsm = PdxLayout.packDsm(vecs)
       val blocks = PdxLayout.pack(vecs, vecs.indices.map(_.toLong), 64)
-      val qpsOf = measureQps(queries, if (quick) 30_000_000L else 300_000_000L) _
-      val dsmQps = qpsOf(q => BenchUtil.consume(LinearScan.dsmKnn(dsm, n, q, 10).threshold))
-      val pdxQps = qpsOf(q => BenchUtil.consume(LinearScan.pdxKnn(blocks, q, 10).threshold))
+      val qpsOf = measureQps(queries, 300_000_000L) _
+      val dsmQps = qpsOf(q => BenchUtil.consume(LinearScan.dsmKnn(dsm, n, q, BenchConfig.K).threshold))
+      val pdxQps = qpsOf(q => BenchUtil.consume(LinearScan.pdxKnn(blocks, q, BenchConfig.K).threshold))
       n -> pdxQps / dsmQps
     }
     val table = BenchUtil.markdownTable(

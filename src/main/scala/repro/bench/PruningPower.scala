@@ -19,12 +19,12 @@ object PruningPower {
 
   /** Per-query pruning power (fraction in [0,1]) over the collection. */
   def perQuery(vecsInSpace: IndexedSeq[Array[Float]], pruner: Pruner,
-               rawQueries: IndexedSeq[Array[Float]], k: Int = 10): IndexedSeq[Double] = {
+               rawQueries: IndexedSeq[Array[Float]]): IndexedSeq[Double] = {
     val bucket = NaryBucket.pack(vecsInSpace, vecsInSpace.indices.map(_.toLong),
                                  withSuffixNorms = pruner.needsSuffixNorms)
     rawQueries.map { raw =>
       val profiler = new SearchProfiler
-      new NarySearcher(k, deltaD = 1, profiler).search(Iterator.single(bucket), raw, pruner)
+      new NarySearcher(BenchConfig.K, deltaD = 1, profiler).search(Iterator.single(bucket), raw, pruner)
       1.0 - profiler.dimValuesScanned.toDouble / (bucket.n.toLong * bucket.d)
     }
   }

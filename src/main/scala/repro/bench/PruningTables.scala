@@ -29,12 +29,11 @@ object PruningTables {
   }
 
   /** Table 2: ADSampling (ε0 = 2.1) pruning power. */
-  def table2(specs: Seq[DatasetSpec], k: Int = 10)
-      : (String, Map[String, PruningPower.Summary]) = {
+  def table2(specs: Seq[DatasetSpec]): (String, Map[String, PruningPower.Summary]) = {
     val cols = specs.map { spec =>
       val ds = DatasetCache.dataset(spec)
       val (pruner, space) = DatasetCache.adsSpace(spec)
-      val power = PruningPower.perQuery(space, pruner, ds.queries, k)
+      val power = PruningPower.perQuery(space, pruner, ds.queries)
       spec.label -> PruningPower.summarize(power)
     }
     (render("ADSampling pruning power (% of dimension values avoided), Δd=1, K=10.", cols),
@@ -42,12 +41,11 @@ object PruningTables {
   }
 
   /** Table 6: PDX-BOND (distance-to-means order) pruning power. */
-  def table6(specs: Seq[DatasetSpec], k: Int = 10)
-      : (String, Map[String, PruningPower.Summary]) = {
+  def table6(specs: Seq[DatasetSpec]): (String, Map[String, PruningPower.Summary]) = {
     val cols = specs.map { spec =>
       val ds = DatasetCache.dataset(spec)
       val pruner = new Bond(spec.d, Bond.DistanceToMeans)
-      val power = PruningPower.perQuery(ds.vectors, pruner, ds.queries, k)
+      val power = PruningPower.perQuery(ds.vectors, pruner, ds.queries)
       spec.label -> PruningPower.summarize(power)
     }
     (render("PDX-BOND pruning power (% of dimension values avoided), Δd=1, K=10.", cols),

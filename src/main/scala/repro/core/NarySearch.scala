@@ -10,6 +10,8 @@ final case class NaryBucket(ids: Array[Long], n: Int, d: Int, data: Array[Float]
   require(ids.length == n, s"ids ${ids.length} != n $n")
   require(data.length == n * d, s"data ${data.length} != n*d ${n * d}")
   require(means.length == d, s"means ${means.length} != d $d")
+  require(suffixSqNorms.isEmpty || suffixSqNorms.length == n * (d + 1),
+          s"suffix ${suffixSqNorms.length} != n*(d+1) ${n * (d + 1)}")
 }
 
 object NaryBucket {
@@ -42,9 +44,10 @@ object NaryBucket {
   * Used as the N-ary side of Table 7 and the SIMD-ADS/BSA stand-in, and at
   * Δd = 1 as the vector-at-a-time search whose pruning power Tables 2 and 6
   * report ([[repro.bench.PruningPower]]). `profiler`, when not null, counts
-  * operations (see [[SearchProfiler]]).
+  * operations (see [[SearchProfiler]]); `IvfIndex.searchNary` adds to it.
   */
-final class NarySearcher(val k: Int, deltaD: Int, profiler: SearchProfiler = null) {
+final class NarySearcher(val k: Int, deltaD: Int, val profiler: SearchProfiler = null) {
+  require(k > 0, s"k must be positive, got $k")
   require(deltaD > 0, s"deltaD must be positive, got $deltaD")
 
   def search(buckets: IterableOnce[NaryBucket], rawQuery: Array[Float],

@@ -22,10 +22,11 @@ package repro.core
   * [[NarySearcher]].
   *
   * `profiler`, when not null, accumulates distance and bound time and
-  * operation counts. Instances hold reusable scratch buffers —
+  * operation counts; `IvfIndex.searchPdx` adds prep and bucket time to it.
+  * Instances hold reusable scratch buffers —
   * single-threaded use only (create one searcher per thread/partition).
   */
-final class PdxSearcher(val k: Int, profiler: SearchProfiler = null) {
+final class PdxSearcher(val k: Int, val profiler: SearchProfiler = null) {
   require(k > 0, s"k must be positive, got $k")
 
   private final val SelectivityThreshold = 0.2 // surviving fraction that starts PRUNE (§6.6)

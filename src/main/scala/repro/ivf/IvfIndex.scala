@@ -52,26 +52,36 @@ final class IvfIndex(
     heap.idsSorted.map(_.toInt).toArray
   }
 
-  /** Full IVF query with PDXearch: prep query, pick nprobe buckets, search
-    * blocks nearest-first. Returns sorted (id, distance) pairs.
-    */
+  /** Full IVF query with PDXearch. Returns sorted (id, distance) pairs. */
   def searchPdx(rawQuery: Array[Float], k: Int, nprobe: Int, pruner: Pruner,
-                searcher: PdxSearcher): IndexedSeq[(Long, Float)] = {
-    val pq = pruner.prepareQuery(rawQuery)
-    val probes = nearestBuckets(pq.query, nprobe, usePdx = true)
-    val heap = new KnnHeap(k)
-    searcher.searchPrepared(probes.iterator.map(c => blocks(bucketOf(c))), pq, heap)
-    heap.sorted
-  }
+                searcher: PdxSearcher): IndexedSeq[(Long, Float)] =
+    search(rawQuery, k, nprobe, pruner, searcher.profiler, usePdx = true) { (probes, pq, heap) =>
+      searcher.searchPrepared(probes.map(c => blocks(bucketOf(c))), pq, heap)
+    }
 
   /** Full IVF query with the horizontal (N-ary) pruned search. */
   def searchNary(rawQuery: Array[Float], k: Int, nprobe: Int, pruner: Pruner,
-                 searcher: NarySearcher): IndexedSeq[(Long, Float)] = {
+                 searcher: NarySearcher): IndexedSeq[(Long, Float)] =
+    search(rawQuery, k, nprobe, pruner, searcher.profiler, usePdx = false) { (probes, pq, heap) =>
+      searcher.searchPrepared(probes.map(c => naryBuckets(bucketOf(c))), pq, heap)
+    }
+
+  /** The one IVF query sequence (Table 7's layers in order): prep the query,
+    * pick the `nprobe` nearest buckets, `scan` them nearest first. A non-null
+    * `profiler` gets the prep and bucket time; a null one reads no clock.
+    */
+  private def search(rawQuery: Array[Float], k: Int, nprobe: Int, pruner: Pruner,
+                     profiler: SearchProfiler, usePdx: Boolean)(
+      scan: (Iterator[Int], PreparedQuery, KnnHeap) => KnnHeap): IndexedSeq[(Long, Float)] = {
+    val t0 = if (profiler ne null) System.nanoTime() else 0L
     val pq = pruner.prepareQuery(rawQuery)
-    val probes = nearestBuckets(pq.query, nprobe, usePdx = false)
-    val heap = new KnnHeap(k)
-    searcher.searchPrepared(probes.iterator.map(c => naryBuckets(bucketOf(c))), pq, heap)
-    heap.sorted
+    val t1 = if (profiler ne null) System.nanoTime() else 0L
+    val probes = nearestBuckets(pq.query, nprobe, usePdx)
+    if (profiler ne null) {
+      profiler.prepNanos += t1 - t0
+      profiler.bucketsNanos += System.nanoTime() - t1
+    }
+    scan(probes.iterator, pq, new KnnHeap(k)).sorted
   }
 
   /** Linear IVF bucket scan with the horizontal kernel — the FAISS/Milvus
@@ -113,14 +123,5 @@ object IvfIndex {
     val centroidBlock = PdxLayout.packOne(live.map(spaceCentroids), live.map(_.toLong), d,
                                           withSuffixNorms = false)
     new IvfIndex(centroidBlock, blocks.toArray, bucketOf)
-  }
-
-  /** Convenience: partition raw data and materialize in a pruner's space. */
-  def build(raw: IndexedSeq[Array[Float]], ids: IndexedSeq[Long], nlist: Int,
-            pruner: Pruner, iters: Int = 10, seed: Long = 23): IvfIndex = {
-    val part = Ivf.partition(raw, nlist, iters, seed)
-    materialize(part, pruner.transformData(raw), ids,
-                part.rawCentroids.map(pruner.transformVector),
-                pruner.needsSuffixNorms)
   }
 }

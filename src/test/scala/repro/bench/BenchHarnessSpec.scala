@@ -60,8 +60,7 @@ class BenchHarnessSpec extends AnyFunSuite {
 
   test("BreakdownBench runs at quick scale with accounted components") {
     val spec = VectorData.DatasetSpec("quick", 96, 1500, 8, skewed = true, clusters = 8, seed = 777)
-    val (t, rows) = BreakdownBench.run(spec, nlist = 12, targetRecall = 0.9,
-                                       kmeansIters = 4, quick = true)
+    val (t, rows) = BreakdownBench.run(spec, quick = true)
     assert(rows.size == 5)
     rows.foreach { r =>
       assert(r.totalMs > 0, r.name)
@@ -81,7 +80,7 @@ class BenchHarnessSpec extends AnyFunSuite {
 
   test("calibrateBoundNanos returns sub-microsecond per-eval cost") {
     val ads = new repro.prune.AdSampling(32, seed = 5)
-    val c = BreakdownBench.calibrateBoundNanos(ads, VectorData.gaussian(1, 32, 6).head, 32)
+    val c = BreakdownBench.calibrateBoundNanos(ads, VectorData.gaussian(1, 32, 6).head)
     assert(c > 0 && c < 1000, s"unit bound cost $c ns")
   }
 }

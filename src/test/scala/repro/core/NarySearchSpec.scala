@@ -43,6 +43,20 @@ class NarySearchSpec extends AnyFunSuite {
     assert(NaryBucket.fromBlock(block).means eq block.means)
   }
 
+  test("NaryBucket rejects suffix norms of the wrong length, naming both lengths") {
+    val e = intercept[IllegalArgumentException] {
+      NaryBucket(Array(1L, 2L), 2, 3, new Array[Float](6), new Array[Float](3), new Array[Float](7))
+    }
+    assert(e.getMessage.contains("suffix 7 != n*(d+1) 8"))
+  }
+
+  test("NarySearcher rejects a non-positive k") {
+    for (k <- Seq(0, -1)) {
+      val e = intercept[IllegalArgumentException](new NarySearcher(k, deltaD = 1))
+      assert(e.getMessage.contains(s"k must be positive, got $k"))
+    }
+  }
+
   for ((d, deltaD) <- Seq(4 -> 1, 32 -> 8, 128 -> 32)) {
     test(s"NarySearcher + PartialDistance is exact (deltaD=$deltaD)") {
       val ds = clustered(600, d, seed = 5)

@@ -202,7 +202,8 @@ class IvfSpec extends AnyFunSuite {
   test("nearestBuckets and the IVF searches reject a non-positive nprobe") {
     val ds = clustered(200, 8, seed = 51)
     val bond = new Bond(8, Bond.DistanceToMeans)
-    val idx = IvfIndex.build(ds.vectors, ds.ids, nlist = 4, bond)
+    val part = Ivf.partition(ds.vectors, nlist = 4)
+    val idx = IvfIndex.materialize(part, ds.vectors, ds.ids, part.rawCentroids, withSuffixNorms = false)
     val q = ds.queries.head
     for (nprobe <- Seq(0, -1)) {
       val calls = Seq[() => Any](
@@ -234,7 +235,8 @@ class IvfSpec extends AnyFunSuite {
     val d = 24
     val ds = clustered(500, d, seed = 31)
     val bond = new Bond(d, Bond.DimensionZones)
-    val idx = IvfIndex.build(ds.vectors, ds.ids, nlist = 10, bond)
+    val part = Ivf.partition(ds.vectors, nlist = 10)
+    val idx = IvfIndex.materialize(part, ds.vectors, ds.ids, part.rawCentroids, withSuffixNorms = false)
     val searcher = new PdxSearcher(10)
     ds.queries.foreach { q =>
       val res = idx.searchPdx(q, 10, nprobe = 10, bond, searcher)
@@ -297,6 +299,50 @@ class IvfSpec extends AnyFunSuite {
     ds.queries.foreach { q =>
       TestUtil.assertExactKnn(idx.searchPdx(q, 10, 8, bsa, pdxS), ds.vectors, q, 10)
       TestUtil.assertExactKnn(idx.searchNary(q, 10, 8, bsa, naryS), ds.vectors, q, 10)
+    }
+  }
+
+  test("searchPdx and searchNary time prep and bucket selection into the searcher's profiler") {
+    val d = 32
+    val ds = clustered(800, d, seed = 53, skewed = true)
+    val part = Ivf.partition(ds.vectors, nlist = 8)
+    val ads = new AdSampling(d, seed = 55)
+    val adsIdx = IvfIndex.materialize(part, ads.transformData(ds.vectors), ds.ids,
+                                      part.rawCentroids.map(ads.transformVector),
+                                      withSuffixNorms = false)
+    val bsa = Bsa.fit(ds.vectors, multiplier = 0.75)
+    val bsaIdx = IvfIndex.materialize(part, bsa.transformData(ds.vectors), ds.ids,
+                                      part.rawCentroids.map(bsa.transformVector),
+                                      withSuffixNorms = true)
+    val nprobe = 3
+    val (pdxProf, pdxHand, naryProf, naryHand) =
+      (new SearchProfiler, new SearchProfiler, new SearchProfiler, new SearchProfiler)
+    val (pdxPlain, pdxTimed, pdxByHand) =
+      (new PdxSearcher(10), new PdxSearcher(10, pdxProf), new PdxSearcher(10, pdxHand))
+    val (naryPlain, naryTimed, naryByHand) =
+      (new NarySearcher(10, deltaD = 4), new NarySearcher(10, deltaD = 4, naryProf),
+       new NarySearcher(10, deltaD = 4, naryHand))
+    ds.queries.foreach { q =>
+      val pdx = adsIdx.searchPdx(q, 10, nprobe, ads, pdxTimed)
+      assert(pdx == adsIdx.searchPdx(q, 10, nprobe, ads, pdxPlain))
+      val adsQ = ads.prepareQuery(q)
+      val pdxProbes = adsIdx.nearestBuckets(adsQ.query, nprobe, usePdx = true)
+      pdxByHand.searchPrepared(pdxProbes.iterator.map(c => adsIdx.blocks(adsIdx.bucketOf(c))),
+                               adsQ, new KnnHeap(10))
+
+      val nary = bsaIdx.searchNary(q, 10, nprobe, bsa, naryTimed)
+      assert(nary == bsaIdx.searchNary(q, 10, nprobe, bsa, naryPlain))
+      val bsaQ = bsa.prepareQuery(q)
+      val naryProbes = bsaIdx.nearestBuckets(bsaQ.query, nprobe, usePdx = false)
+      naryByHand.searchPrepared(naryProbes.iterator.map(c => bsaIdx.naryBuckets(bsaIdx.bucketOf(c))),
+                                bsaQ, new KnnHeap(10))
+    }
+    for ((prof, hand) <- Seq(pdxProf -> pdxHand, naryProf -> naryHand)) {
+      assert(prof.prepNanos > 0 && prof.bucketsNanos > 0)
+      assert(prof.dimValuesScanned == hand.dimValuesScanned)
+      assert(prof.boundEvals == hand.boundEvals)
+      // Driven by hand, the searchers record no prep or bucket time.
+      assert(hand.prepNanos == 0 && hand.bucketsNanos == 0)
     }
   }
 
