@@ -38,12 +38,12 @@ object BenchUtil {
   }
 
   def geomean(xs: Seq[Double]): Double = {
-    require(xs.nonEmpty)
+    require(xs.nonEmpty, "geomean of no values")
     math.exp(xs.map(math.log).sum / xs.length)
   }
 
   def percentile(sorted: IndexedSeq[Double], p: Double): Double = {
-    require(sorted.nonEmpty)
+    require(sorted.nonEmpty, "percentile of no values")
     val idx = math.min(sorted.length - 1, math.max(0, (p * (sorted.length - 1)).round.toInt))
     sorted(idx)
   }

@@ -30,10 +30,14 @@ object BreakdownBench {
                                pct(boundsMs), pct(prepMs), f"$recall%.3f")
   }
 
-  /** Wall-clock cost of one bound evaluation for a pruner (ns). */
+  /** Wall-clock cost of one bound evaluation for a pruner (ns). At d = 1
+    * it is 0: neither searcher ever evaluates a bound there, because its
+    * first step already reaches the last dimension.
+    */
   def calibrateBoundNanos(pruner: Pruner, sampleQuery: Array[Float]): Double = {
-    val pq = pruner.prepareQuery(sampleQuery)
     val d = pruner.d
+    if (d == 1) return 0.0
+    val pq = pruner.prepareQuery(sampleQuery)
     val inner = 4096
     BenchUtil.timePerOp(minBatchNanos = 2_000_000L, reps = 5) {
       var i = 0

@@ -17,7 +17,7 @@ final case class NaryBucket(ids: Array[Long], n: Int, d: Int, data: Array[Float]
 object NaryBucket {
   def pack(vecs: IndexedSeq[Array[Float]], ids: IndexedSeq[Long],
            withSuffixNorms: Boolean = false): NaryBucket = {
-    require(vecs.nonEmpty)
+    require(vecs.nonEmpty, "cannot pack an N-ary bucket of 0 vectors")
     val b = PdxLayout.packOne(vecs, ids, vecs.head.length, withSuffixNorms)
     NaryBucket(b.ids, b.n, b.d, PdxLayout.packNary(vecs), b.means, b.suffixSqNorms)
   }

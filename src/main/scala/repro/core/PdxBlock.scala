@@ -67,19 +67,25 @@ object PdxLayout {
       .toVector
   }
 
-  /** Pack one group of vectors into a single block (bucket = block for IVF). */
+  /** Pack one group of vectors into a single block (bucket = block for IVF).
+    * Every vector must have `d` values, all finite: a NaN distance is never
+    * `> τ`, so a NaN vector would survive every pruning step and break the
+    * (distance, id) order of the answers. Both failures name the vector's id.
+    */
   def packOne(group: Seq[Array[Float]], groupIds: Seq[Long], d: Int,
               withSuffixNorms: Boolean): PdxBlock = {
     val n = group.length
+    val ids = groupIds.toArray
     val data = new Array[Float](n * d)
     val suffix = if (withSuffixNorms) new Array[Float](n * (d + 1)) else Array.emptyFloatArray
     val meansD = new Array[Double](d)
     var i = 0
     group.foreach { v =>
-      require(v.length == d, s"ragged vector: ${v.length} != $d")
+      require(v.length == d, s"ragged vector: vector ${ids(i)} has ${v.length} dimensions but the block has $d")
       var dim = 0
       while (dim < d) {
         val x = v(dim)
+        require(java.lang.Float.isFinite(x), s"vector ${ids(i)} has the non-finite value $x at position $dim")
         data(dim * n + i) = x
         meansD(dim) += x
         dim += 1
@@ -90,7 +96,7 @@ object PdxLayout {
     val means = new Array[Float](d)
     var dim = 0
     while (dim < d) { means(dim) = (meansD(dim) / n).toFloat; dim += 1 }
-    PdxBlock(groupIds.toArray, n, d, data, means, suffix)
+    PdxBlock(ids, n, d, data, means, suffix)
   }
 
   /** Suffix squared norms of `v` into `out(base until base + d + 1)`:
@@ -150,7 +156,7 @@ object PdxLayout {
     * ordering uses collection-level means when blocks are large partitions).
     */
   def globalMeans(vecs: IndexedSeq[Array[Float]]): Array[Float] = {
-    require(vecs.nonEmpty)
+    require(vecs.nonEmpty, "globalMeans of an empty collection")
     val d = vecs.head.length
     val acc = new Array[Double](d)
     vecs.foreach { v =>

@@ -2,40 +2,39 @@ package repro.ivf
 
 import java.util.Random
 import java.util.stream.IntStream
-import repro.core.{Kernels, PdxLayout}
+import repro.core.{LinearScan, PdxBlock, PdxLayout}
 
 /** Seeded Lloyd k-means — the "non-optimized Lloyd algorithm" the paper's
   * IVF index uses to form buckets (§2.1). Deterministic in (data, k, seed).
   *
   * The assignment pass, one independent nearest-centroid question per
-  * vector, runs on all cores ([[Model.assignAll]]); the centroid sums, the
-  * counts and the reseeding of empty clusters run on the calling thread in
-  * index order, so the result has the same bits for any number of threads.
+  * vector asked by the same PDX scan of the centroids as IVF bucket
+  * selection (`IvfIndex.nearestBuckets`), runs on all cores
+  * ([[Model.assignAll]]); the centroid sums, the counts and the reseeding
+  * of empty clusters run on the calling thread in index order, so the
+  * result has the same bits for any number of threads.
   * The paper disables multi-threading only for the searches it times, and
   * so does every query path here.
   */
 object KMeans {
 
+  /** k centroids packed once as one PDX block whose ids are the centroid
+    * indices, so the nearest-centroid question is IVF bucket selection with
+    * nprobe = 1: a top-1 `LinearScan.pdxKnn` of the block.
+    */
   final case class Model(centroids: Array[Array[Float]]) {
     val k: Int = centroids.length
-    private val d: Int = if (k > 0) centroids(0).length else 0
-    private val packed: Array[Float] = PdxLayout.packNary(centroids.toIndexedSeq)
+    require(k > 0, "k-means: a model needs at least one centroid")
+    private val d: Int = centroids(0).length
+    private val block: PdxBlock =
+      PdxLayout.packOne(centroids.toIndexedSeq, (0 until k).map(_.toLong), d, withSuffixNorms = false)
 
-    /** Nearest centroid of v (ties → lowest index, deterministic). `v`
-      * must have the centroids' length: the kernel reads d values, so a
-      * longer vector would be silently truncated.
+    /** Nearest centroid of v, ties going to the lowest index by `KnnHeap`'s
+      * (distance, id) order. `v` must have the centroids' length.
       */
     def assign(v: Array[Float]): Int = {
       require(v.length == d, s"k-means: the vector has ${v.length} dimensions but the centroids have $d")
-      var best = 0
-      var bestDist = Float.PositiveInfinity
-      var c = 0
-      while (c < k) {
-        val dist = Kernels.l2Unrolled(packed, c * d, v, 0, d)
-        if (dist < bestDist) { bestDist = dist; best = c }
-        c += 1
-      }
-      best
+      LinearScan.pdxKnn(Iterator.single(block), v, 1).idsSorted.head.toInt
     }
 
     /** `assign` of every vector: entry i is exactly `assign(vecs(i))`. Every
@@ -109,9 +108,8 @@ object KMeans {
   }
 
   /** Fails, naming the vector, the position and the value, unless every
-    * vector has `d` values and all of them are finite: a longer vector would
-    * be silently truncated by the kernel, and a NaN one would land in
-    * cluster 0 and turn its centroid into NaN.
+    * vector has `d` values and all of them are finite: a NaN vector would
+    * land in cluster 0 and turn its centroid into NaN.
     */
   private def requireUniformFinite(vecs: IndexedSeq[Array[Float]], d: Int): Unit = {
     var i = 0

@@ -91,7 +91,7 @@ object Bsa {
 
   private def fitInternal(vecs: IndexedSeq[Array[Float]], multiplier: Double,
                           seed: Long, maxSweeps: Int, learn: Boolean): Bsa = {
-    require(vecs.nonEmpty)
+    require(vecs.nonEmpty, "cannot fit BSA on 0 vectors")
     val d = vecs.head.length
     val mean = PdxLayout.globalMeans(vecs)
     val basis = Mat.pcaRotation(vecs, seed = seed, maxSweeps = maxSweeps).toFloats

@@ -83,4 +83,9 @@ class BenchHarnessSpec extends AnyFunSuite {
     val c = BreakdownBench.calibrateBoundNanos(ads, VectorData.gaussian(1, 32, 6).head)
     assert(c > 0 && c < 1000, s"unit bound cost $c ns")
   }
+
+  test("calibrateBoundNanos is 0 at d = 1, where no bound is ever evaluated") {
+    val ads = new repro.prune.AdSampling(1, seed = 5)
+    assert(BreakdownBench.calibrateBoundNanos(ads, Array(0.5f)) == 0.0)
+  }
 }

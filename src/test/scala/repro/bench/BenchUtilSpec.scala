@@ -19,6 +19,13 @@ class BenchUtilSpec extends AnyFunSuite {
     assert(BenchUtil.percentile(xs, 0.5) == 3.0)
   }
 
+  test("geomean and percentile reject no values with a message") {
+    val e1 = intercept[IllegalArgumentException](BenchUtil.geomean(Seq.empty))
+    assert(e1.getMessage.contains("geomean of no values"))
+    val e2 = intercept[IllegalArgumentException](BenchUtil.percentile(IndexedSeq.empty, 0.5))
+    assert(e2.getMessage.contains("percentile of no values"))
+  }
+
   test("markdownTable shape") {
     val t = BenchUtil.markdownTable(Seq("a", "b"), Seq(Seq("1", "2"), Seq("3", "4")))
     val lines = t.trim.split("\n")

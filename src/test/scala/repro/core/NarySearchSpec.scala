@@ -50,6 +50,11 @@ class NarySearchSpec extends AnyFunSuite {
     assert(e.getMessage.contains("suffix 7 != n*(d+1) 8"))
   }
 
+  test("NaryBucket.pack rejects an empty collection with a message") {
+    val e = intercept[IllegalArgumentException](NaryBucket.pack(IndexedSeq.empty, IndexedSeq.empty))
+    assert(e.getMessage.contains("cannot pack an N-ary bucket of 0 vectors"))
+  }
+
   test("NarySearcher rejects a non-positive k") {
     for (k <- Seq(0, -1)) {
       val e = intercept[IllegalArgumentException](new NarySearcher(k, deltaD = 1))

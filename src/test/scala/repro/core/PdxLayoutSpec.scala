@@ -30,9 +30,26 @@ class PdxLayoutSpec extends AnyFunSuite {
 
   test("pack rejects ragged vectors") {
     val vecs = IndexedSeq(Array(1f, 2f), Array(1f, 2f, 3f))
-    intercept[IllegalArgumentException] {
-      PdxLayout.pack(vecs, IndexedSeq(0L, 1L), 64)
+    val e = intercept[IllegalArgumentException] {
+      PdxLayout.pack(vecs, IndexedSeq(10L, 11L), 64)
     }
+    assert(e.getMessage.contains("ragged vector: vector 11 has 3 dimensions but the block has 2"), e.getMessage)
+  }
+
+  test("pack rejects a NaN or infinite value, naming the vector's id, the position and the value") {
+    val vecs = VectorData.gaussian(40, 6, seed = 79).toVector
+    val ids = vecs.indices.map(i => i.toLong * 7)
+    for (x <- Seq(Float.NaN, Float.PositiveInfinity, Float.NegativeInfinity); bs <- Seq(1, 16, 64)) {
+      val bad = vecs(17).clone()
+      bad(5) = x
+      val e = intercept[IllegalArgumentException](PdxLayout.pack(vecs.updated(17, bad), ids, bs))
+      assert(e.getMessage.contains(s"vector 119 has the non-finite value $x at position 5"), e.getMessage)
+    }
+  }
+
+  test("globalMeans rejects an empty collection with a message") {
+    val e = intercept[IllegalArgumentException](PdxLayout.globalMeans(IndexedSeq.empty))
+    assert(e.getMessage.contains("globalMeans of an empty collection"))
   }
 
   test("pack rejects a non-positive blockSize") {

@@ -106,6 +106,32 @@ class IvfSpec extends AnyFunSuite {
     vecs.indices.foreach(i => assert(parts.head.assign(i) == model.assign(vecs(i)), s"vector $i"))
   }
 
+  test("KMeans.assign breaks distance ties to the lowest centroid index") {
+    val (a, b) = (Array(1f, 2f, 3f), Array(-4f, 0.5f, 2f))
+    assert(KMeans.Model(Array(a, a, b)).assign(a) == 0)
+    assert(KMeans.Model(Array(b, a, a)).assign(a) == 1)
+    // (0, 0, 0) is at distance 1 from both (1, 0, 0) and (-1, 0, 0).
+    val centroids = Array(Array(3f, 0f, 0f), Array(1f, 0f, 0f), Array(-1f, 0f, 0f))
+    assert(KMeans.Model(centroids).assign(Array(0f, 0f, 0f)) == 1)
+    assert(KMeans.Model(centroids.reverse).assign(Array(0f, 0f, 0f)) == 0)
+  }
+
+  test("KMeans.Model rejects an empty centroid set with a message") {
+    val e = intercept[IllegalArgumentException](KMeans.Model(Array.empty))
+    assert(e.getMessage.contains("k-means: a model needs at least one centroid"))
+  }
+
+  test("KMeans.assign is bucket selection with nprobe 1 on a raw-space index whose buckets are all live") {
+    val ds = clustered(1500, 20, seed = 13, skewed = true)
+    val part = Ivf.partition(ds.vectors, nlist = 16, seed = 14)
+    val idx = IvfIndex.materialize(part, ds.vectors, ds.ids, part.rawCentroids, withSuffixNorms = false)
+    assert(idx.bucketOf.forall(_ >= 0), "every bucket is live")
+    val model = KMeans.Model(part.rawCentroids)
+    (ds.vectors ++ ds.queries).zipWithIndex.foreach { case (v, i) =>
+      assert(model.assign(v) == idx.nearestBuckets(v, 1).head, s"vector $i")
+    }
+  }
+
   // ---------------- IVF build ----------------
 
   test("Ivf.partition covers every vector and respects nlist") {
@@ -397,6 +423,29 @@ class IvfSpec extends AnyFunSuite {
         IvfIndex.materialize(part, ds.vectors, ds.ids, centroids, withSuffixNorms = false)
       }
       assert(e.getMessage.contains(s"spaceCentroids has ${centroids.length} centroids but the partition has nlist 3"))
+    }
+  }
+
+  test("IvfIndex.materialize rejects a NaN or infinite vector or centroid value, naming it") {
+    val ds = clustered(60, 6, seed = 51)
+    val part = Ivf.partition(ds.vectors, nlist = 3)
+    val vecs = ds.vectors.toVector
+    for (x <- Seq(Float.NaN, Float.PositiveInfinity, Float.NegativeInfinity)) {
+      val bad = vecs(23).clone()
+      bad(4) = x
+      val e1 = intercept[IllegalArgumentException] {
+        IvfIndex.materialize(part, vecs.updated(23, bad), ds.ids.map(_ + 1000), part.rawCentroids,
+                             withSuffixNorms = false)
+      }
+      assert(e1.getMessage.contains(s"vector 1023 has the non-finite value $x at position 4"), e1.getMessage)
+      val live = part.assign(0) // only live centroids are packed; their ids are their indices
+      val centroids = part.rawCentroids.clone()
+      centroids(live) = centroids(live).clone()
+      centroids(live)(1) = x
+      val e2 = intercept[IllegalArgumentException] {
+        IvfIndex.materialize(part, vecs, ds.ids, centroids, withSuffixNorms = true)
+      }
+      assert(e2.getMessage.contains(s"vector $live has the non-finite value $x at position 1"), e2.getMessage)
     }
   }
 

@@ -208,6 +208,13 @@ class PrunerSpec extends AnyFunSuite {
     }
   }
 
+  test("BSA fit rejects an empty collection with a message") {
+    for (fit <- Seq[() => Bsa](() => Bsa.fitExact(IndexedSeq.empty), () => Bsa.fit(IndexedSeq.empty))) {
+      val e = intercept[IllegalArgumentException](fit())
+      assert(e.getMessage.contains("cannot fit BSA on 0 vectors"))
+    }
+  }
+
   private def rejectsWrongLengthDataVector(pruner: Pruner): Unit = {
     val d = pruner.d
     val vecs = VectorData.gaussian(6, d, seed = 41).toVector

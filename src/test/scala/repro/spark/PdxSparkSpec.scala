@@ -155,7 +155,7 @@ class PdxSparkSpec extends SparkSpec {
     }
   }
 
-  test("knnExact, knnBond and rangeCount reject a NaN or infinite query value on the driver, before any job") {
+  test("knnExact and knnBond reject a NaN or infinite query value on the driver, before any job") {
     val blocks = PdxSpark.pack(PdxSpark.toVectorDF(spark, ds.vectors.take(200), numPartitions = 2), 64).cache()
     for ((pos, bad) <- Seq(3 -> Float.NaN, 0 -> Float.PositiveInfinity, 23 -> Float.NegativeInfinity)) {
       val q = ds.queries.head.clone()
@@ -169,6 +169,21 @@ class PdxSparkSpec extends SparkSpec {
       assert(jobs == 0)
     }
     blocks.unpersist()
+  }
+
+  test("pack rejects a NaN or infinite vector value, and the failed action names the vector") {
+    for ((pos, bad) <- Seq(5 -> Float.NaN, 0 -> Float.PositiveInfinity, 23 -> Float.NegativeInfinity)) {
+      val vecs = ds.vectors.take(100).toVector
+      val v = vecs(17).clone()
+      v(pos) = bad
+      val blocks = PdxSpark.pack(PdxSpark.toVectorDF(spark, vecs.updated(17, v), numPartitions = 2), 32)
+      val msg = s"vector 17 has the non-finite value $bad at position $pos"
+      for (action <- Seq[() => Any](() => blocks.collect(), () => PdxSpark.knnExact(blocks, ds.queries.head, 10))) {
+        val e = intercept[Exception](action())
+        val chain = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).toSeq
+        assert(chain.exists(t => t.getMessage != null && t.getMessage.contains(msg)), e.toString)
+      }
+    }
   }
 
   test("blocks cached before their first query are read from the cache; cached after it, every query packs them again") {
