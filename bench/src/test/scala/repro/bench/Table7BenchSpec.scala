@@ -13,9 +13,10 @@ class Table7BenchSpec extends AnyFunSuite {
 
     val byName = rows.map(r => r.name -> r).toMap
     // Paper shape: the PDX versions win the scan phase (distance + bounds)
-    // against their N-ary counterparts. Totals at reproduction scale are
-    // dominated by the O(D²) query transform, identical for both layouts,
-    // so the end-to-end comparison gets a noise margin (EXPERIMENTS.md).
+    // against their N-ary counterparts. Totals at reproduction scale carry
+    // a large share of BSA's O(D²) query transform and bucket selection,
+    // identical for both layouts, so the end-to-end comparison gets a noise
+    // margin (EXPERIMENTS.md).
     def scanMs(name: String) = byName(name).distMs + byName(name).boundsMs
     assert(scanMs("PDX ADS") < scanMs("N-ary ADS") * 1.05,
            s"PDX ADS scan ${scanMs("PDX ADS")} vs N-ary ${scanMs("N-ary ADS")}")

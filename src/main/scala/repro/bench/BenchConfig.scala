@@ -40,7 +40,7 @@ object BenchConfig {
 
   /** Table 7 dataset: the OpenAI-like high-dimensional collection, at a
     * larger N than the shared catalog — the breakdown compares scan-phase
-    * costs, and at 8K vectors the scale-independent query transform
+    * costs, and at 8K vectors BSA's scale-independent query transform
     * (O(D²)) would drown the scan shares the paper reports.
     */
   def breakdownSpec: DatasetSpec = catalog.last.copy(n = 20000)

@@ -1,6 +1,7 @@
 package repro.bench
 
 import java.nio.file.{Files, Paths, StandardOpenOption}
+import scala.util.Try
 
 /** Timing and reporting utilities shared by the per-table bench harnesses
   * and the `jobs/` entrypoints.
@@ -57,16 +58,37 @@ object BenchUtil {
     sb.toString
   }
 
-  /** Print a result section and persist it under bench_results/ so
-    * EXPERIMENTS.md numbers can be regenerated and diffed.
+  /** Print a result section and persist it under bench_results/, followed
+    * by [[hostFooter]], so EXPERIMENTS.md numbers can be regenerated, diffed
+    * and traced to the host and commit that produced them.
     */
   def report(name: String, content: String): Unit = {
-    val banner = s"\n===== $name =====\n$content"
-    println(banner)
+    val text = s"$content\n$hostFooter"
+    println(s"\n===== $name =====\n$text")
     val dir = Paths.get("bench_results")
     Files.createDirectories(dir)
-    Files.write(dir.resolve(s"$name.md"), content.getBytes("UTF-8"),
+    Files.write(dir.resolve(s"$name.md"), text.getBytes("UTF-8"),
                 StandardOpenOption.CREATE, StandardOpenOption.TRUNCATE_EXISTING)
+  }
+
+  /** One line naming where a table was measured: the CPU model, the CPUs
+    * this JVM may use, the JDK and the commit (marked `+dirty` when the
+    * working tree has uncommitted changes). A field that cannot be read is
+    * `unknown`.
+    */
+  lazy val hostFooter: String = {
+    val cpu = Try {
+      val src = scala.io.Source.fromFile("/proc/cpuinfo")
+      try src.getLines().collectFirst { case l if l.startsWith("model name") => l.split(":", 2)(1).trim }
+      finally src.close()
+    }.toOption.flatten.getOrElse("unknown")
+    def git(args: String*): Option[String] =
+      Try(sys.process.Process("git" +: args).!!(sys.process.ProcessLogger(_ => ())).trim).toOption
+    val commit = git("rev-parse", "--short", "HEAD").fold("unknown") { c =>
+      if (git("status", "--porcelain", "--untracked-files=no").exists(_.nonEmpty)) s"$c+dirty" else c
+    }
+    s"Host: $cpu; ${Runtime.getRuntime.availableProcessors} usable CPUs; " +
+      s"JDK ${System.getProperty("java.version")}; commit $commit.\n"
   }
 
   def f1(x: Double): String = f"$x%.1f"

@@ -5,8 +5,8 @@ import repro.data.VectorData
 import repro.data.VectorData.{Dataset, DatasetSpec}
 import repro.prune.{AdSampling, Bsa}
 
-/** Memoized datasets and pruner search spaces. Building a D=1536 rotation
-  * (Gram–Schmidt or Jacobi) and rotating 10K vectors costs tens of seconds,
+/** Memoized datasets and pruner search spaces. Fitting BSA's D=1536 PCA
+  * basis (Jacobi) and rotating 10K vectors with it costs tens of seconds,
   * and the tables of one suite share datasets, so a process-wide cache
   * keeps the runtime sane. build.sbt forks one JVM per bench suite, so the
   * cache lives for one bench suite (or for the whole root test run, which

@@ -102,9 +102,8 @@ object Kernels {
   }
 
   /** Row-major matrix `m` (`m.length / v.length` rows of `v.length`) times
-    * `v`: one [[ipUnrolled]] per row. This applies the fitted rotations of
-    * ADSampling and BSA, the per-query transform cost ("Query
-    * Preprocessing" in Table 7).
+    * `v`: one [[ipUnrolled]] per row. This applies BSA's fitted PCA basis,
+    * its per-query transform cost ("Query Preprocessing" in Table 7).
     */
   def matVec(m: Array[Float], v: Array[Float]): Array[Float] = {
     val d = v.length

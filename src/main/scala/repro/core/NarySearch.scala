@@ -51,8 +51,10 @@ final class NarySearcher(val k: Int, deltaD: Int, val profiler: SearchProfiler =
   require(deltaD > 0, s"deltaD must be positive, got $deltaD")
 
   def search(buckets: IterableOnce[NaryBucket], rawQuery: Array[Float],
-             pruner: Pruner): KnnHeap =
+             pruner: Pruner): KnnHeap = {
+    LinearScan.requireFiniteQuery(rawQuery)
     searchPrepared(buckets, pruner.prepareQuery(rawQuery), new KnnHeap(k))
+  }
 
   def searchPrepared(buckets: IterableOnce[NaryBucket], pq: PreparedQuery,
                      heap: KnnHeap): KnnHeap = {
@@ -161,6 +163,20 @@ object LinearScan {
     */
   def requireQueryDims(q: Array[Float], d: Int): Unit =
     require(q.length == d, s"query has ${q.length} dimensions but the block has $d")
+
+  /** Fails on the first NaN or infinite value of query `q`, naming its
+    * position: one NaN makes every distance NaN, `!(NaN > τ)` keeps every
+    * vector alive, and a rotation spreads it to every coordinate, so the
+    * searches check the raw query once, before preparing it.
+    */
+  def requireFiniteQuery(q: Array[Float]): Unit = {
+    var i = 0
+    while (i < q.length) {
+      val x = q(i)
+      require(!x.isNaN && !x.isInfinite, s"query value at position $i is $x; it must be finite")
+      i += 1
+    }
+  }
 
   /** Full distances of `q` to every vector of `block` into `acc(0 until n)`:
     * the one whole-block PDX scan (no pruning) that the linear scans,

@@ -41,8 +41,10 @@ final class PdxSearcher(val k: Int, val profiler: SearchProfiler = null) {
 
   /** Search the given blocks in order (for IVF: nearest buckets first). */
   def search(blocks: IterableOnce[PdxBlock], rawQuery: Array[Float],
-             pruner: Pruner): KnnHeap =
+             pruner: Pruner): KnnHeap = {
+    LinearScan.requireFiniteQuery(rawQuery)
     searchPrepared(blocks, pruner.prepareQuery(rawQuery), new KnnHeap(k))
+  }
 
   /** Search with an already-prepared query, merging into `heap` (lets IVF
     * prepare the query once for bucket selection and propagate τ).

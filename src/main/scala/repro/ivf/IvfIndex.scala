@@ -66,13 +66,15 @@ final class IvfIndex(
       searcher.searchPrepared(probes.map(c => naryBuckets(bucketOf(c))), pq, heap)
     }
 
-  /** The one IVF query sequence (Table 7's layers in order): prep the query,
-    * pick the `nprobe` nearest buckets, `scan` them nearest first. A non-null
-    * `profiler` gets the prep and bucket time; a null one reads no clock.
+  /** The one IVF query sequence (Table 7's layers in order): check the raw
+    * query, prep it, pick the `nprobe` nearest buckets, `scan` them nearest
+    * first. A non-null `profiler` gets the prep and bucket time; a null one
+    * reads no clock.
     */
   private def search(rawQuery: Array[Float], k: Int, nprobe: Int, pruner: Pruner,
                      profiler: SearchProfiler, usePdx: Boolean)(
       scan: (Iterator[Int], PreparedQuery, KnnHeap) => KnnHeap): IndexedSeq[(Long, Float)] = {
+    LinearScan.requireFiniteQuery(rawQuery)
     val t0 = if (profiler ne null) System.nanoTime() else 0L
     val pq = pruner.prepareQuery(rawQuery)
     val t1 = if (profiler ne null) System.nanoTime() else 0L
@@ -88,6 +90,7 @@ final class IvfIndex(
     * IVF_FLAT stand-in (no dimension pruning).
     */
   def searchLinear(query: Array[Float], k: Int, nprobe: Int): IndexedSeq[(Long, Float)] = {
+    LinearScan.requireFiniteQuery(query)
     val probes = nearestBuckets(query, nprobe, usePdx = false)
     LinearScan.naryKnn(probes.iterator.map(c => naryBuckets(bucketOf(c))), query, k).sorted
   }

@@ -2,13 +2,12 @@ package repro.linalg
 
 import java.util.Random
 
-/** Small dense linear-algebra substrate that fits the dimension-pruning
-  * transforms (ADSampling's random rotation, BSA's PCA basis).
+/** Small dense linear-algebra substrate that fits BSA's PCA basis.
   *
   * Matrices are row-major `Array[Double]` with explicit (rows, cols). The
   * fit runs in double precision, so orthogonality holds to ~1e-12; the
-  * pruners then keep only the row-major float copy (`toFloats`) and
-  * apply it with [[repro.core.Kernels.matVec]], so rotated distances match
+  * pruner then keeps only the row-major float copy (`toFloats`) and
+  * applies it with [[repro.core.Kernels.matVec]], so rotated distances match
   * raw distances to float precision.
   */
 final case class Mat(rows: Int, cols: Int, a: Array[Double]) {
@@ -36,46 +35,6 @@ object Mat {
     var i = 0
     while (i < n) { m(i, i) = 1.0; i += 1 }
     m
-  }
-
-  /** Standard-normal matrix, seeded. */
-  def gaussian(rows: Int, cols: Int, seed: Long): Mat = {
-    val rnd = new Random(seed)
-    val out = new Array[Double](rows * cols)
-    var i = 0
-    while (i < out.length) { out(i) = rnd.nextGaussian(); i += 1 }
-    Mat(rows, cols, out)
-  }
-
-  /** Random orthogonal D x D matrix: modified Gram–Schmidt QR of a
-    * Gaussian matrix (the ADSampling random-rotation preprocessor).
-    */
-  def randomOrthogonal(d: Int, seed: Long): Mat = {
-    val g = gaussian(d, d, seed)
-    // Orthonormalize the ROWS with modified Gram–Schmidt (row-major friendly).
-    val q = g.a.clone()
-    var i = 0
-    while (i < d) {
-      val ri = i * d
-      var j = 0
-      while (j < i) {
-        val rj = j * d
-        var dot = 0.0; var t = 0
-        while (t < d) { dot += q(ri + t) * q(rj + t); t += 1 }
-        t = 0
-        while (t < d) { q(ri + t) -= dot * q(rj + t); t += 1 }
-        j += 1
-      }
-      var nrm = 0.0; var t = 0
-      while (t < d) { nrm += q(ri + t) * q(ri + t); t += 1 }
-      nrm = math.sqrt(nrm)
-      // A zero row is probability-0 for Gaussian input; guard anyway.
-      val inv = if (nrm > 0) 1.0 / nrm else 0.0
-      t = 0
-      while (t < d) { q(ri + t) *= inv; t += 1 }
-      i += 1
-    }
-    Mat(d, d, q)
   }
 
   /** Sample covariance (biased, 1/n) of row vectors after mean-centering. */

@@ -80,36 +80,26 @@ object PdxSpark {
   /** Exact distributed KNN: per-partition PDX linear scan, global top-k.
     * Runs its one Spark job at once and returns the answer as a local
     * (id LONG, dist DOUBLE) DataFrame sorted ascending by (dist, id).
-    * Cache `blocks` before its first query (see the object doc).
+    * Cache `blocks` before its first query (see the object doc). A NaN or
+    * infinite query value fails here on the driver, before any job.
     */
   def knnExact(blocks: Dataset[PdxBlockRow], query: Array[Float], k: Int): DataFrame = {
     require(k > 0, s"k must be positive, got $k")
-    requireFinite(query)
+    LinearScan.requireFiniteQuery(query)
     globalTopK(blocks, k)(it => LinearScan.pdxKnn(it, query, k))
   }
 
   /** Distributed PDX-BOND KNN: per-partition PDXearch with the exact
     * partial-distance pruner in distance-to-means order; global top-k.
     * Exact — equals `knnExact` up to float tie noise. Cache `blocks` before
-    * its first query (see the object doc).
+    * its first query (see the object doc). Checks the query as `knnExact`
+    * does.
     */
   def knnBond(blocks: Dataset[PdxBlockRow], query: Array[Float], k: Int): DataFrame = {
     require(k > 0, s"k must be positive, got $k")
-    requireFinite(query)
+    LinearScan.requireFiniteQuery(query)
     val d = query.length
     globalTopK(blocks, k)(it => new PdxSearcher(k).search(it, query, new Bond(d, Bond.DistanceToMeans)))
-  }
-
-  /** Fails on the driver, before any job, on a NaN or infinite query value
-    * (which would make every distance NaN).
-    */
-  private def requireFinite(query: Array[Float]): Unit = {
-    var i = 0
-    while (i < query.length) {
-      val x = query(i)
-      require(!x.isNaN && !x.isInfinite, s"query value at position $i is $x; it must be finite")
-      i += 1
-    }
   }
 
   private val KnnSchema = StructType(Seq(

@@ -46,6 +46,14 @@ class BenchUtilSpec extends AnyFunSuite {
     BenchUtil.report("selftest", "hello")
     val p = java.nio.file.Paths.get("bench_results", "selftest.md")
     assert(java.nio.file.Files.exists(p))
-    assert(new String(java.nio.file.Files.readAllBytes(p), "UTF-8") == "hello")
+    assert(new String(java.nio.file.Files.readAllBytes(p), "UTF-8") == "hello\n" + BenchUtil.hostFooter)
+  }
+
+  test("the report footer names the CPU, the usable CPUs, the JDK and the commit") {
+    val f = BenchUtil.hostFooter
+    assert(f.startsWith("Host: ") && f.endsWith(".\n"), f)
+    assert(f.contains(s"; ${Runtime.getRuntime.availableProcessors} usable CPUs; "), f)
+    assert(f.contains(s"; JDK ${System.getProperty("java.version")}; commit "), f)
+    assert(f.linesIterator.length == 1, f)
   }
 }

@@ -392,6 +392,35 @@ class IvfSpec extends AnyFunSuite {
     }
   }
 
+  test("every query entry point rejects a NaN or infinite raw query value, naming its position") {
+    // Checked on the raw query: after the rotation one NaN is in every
+    // coordinate, and its position is lost.
+    val d = 12
+    val ds = clustered(200, d, seed = 46)
+    val part = Ivf.partition(ds.vectors, nlist = 4)
+    val ads = new AdSampling(d, seed = 47)
+    val inSpace = ads.transformData(ds.vectors)
+    val idx = IvfIndex.materialize(part, inSpace, ds.ids, part.rawCentroids.map(ads.transformVector),
+                                   withSuffixNorms = false)
+    val blocks = PdxLayout.pack(inSpace, ds.ids, 64)
+    val pdx = new PdxSearcher(10)
+    val nary = new NarySearcher(10, deltaD = d / 4)
+    for (pos <- Seq(0, d - 1); bad <- Seq(Float.NaN, Float.PositiveInfinity, Float.NegativeInfinity)) {
+      val q = ds.queries.head.clone()
+      q(pos) = bad
+      val calls = Seq[(String, () => Any)](
+        "PdxSearcher.search" -> (() => pdx.search(blocks, q, ads)),
+        "NarySearcher.search" -> (() => nary.search(idx.naryBuckets.toSeq, q, ads)),
+        "IvfIndex.searchPdx" -> (() => idx.searchPdx(q, 10, 4, ads, pdx)),
+        "IvfIndex.searchNary" -> (() => idx.searchNary(q, 10, 4, ads, nary)),
+        "IvfIndex.searchLinear" -> (() => idx.searchLinear(q, 10, 4)))
+      for ((name, call) <- calls) {
+        val e = intercept[IllegalArgumentException](call())
+        assert(e.getMessage.contains(s"query value at position $pos is $bad"), s"$name: ${e.getMessage}")
+      }
+    }
+  }
+
   test("IvfIndex.materialize rejects an empty collection") {
     val part = IvfPartition(1, Array.emptyIntArray, Array(Array(0f, 0f)))
     val e = intercept[IllegalArgumentException] {

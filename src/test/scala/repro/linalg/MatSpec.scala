@@ -39,13 +39,13 @@ class MatSpec extends AnyFunSuite {
     math.abs(a - b) <= tol * (1.0 + math.abs(a) + math.abs(b))
 
   test("eye is identity under multiplication") {
-    val a = Mat.gaussian(5, 5, 1)
+    val a = TestMats.gaussian(5, 5, 1)
     assert((Mat.eye(5) * a).frobDist(a) < 1e-12)
     assert((a * Mat.eye(5)).frobDist(a) < 1e-12)
   }
 
   test("transpose twice is identity") {
-    val a = Mat.gaussian(4, 7, 2)
+    val a = TestMats.gaussian(4, 7, 2)
     assert(a.t.t.frobDist(a) == 0.0)
   }
 
@@ -57,7 +57,7 @@ class MatSpec extends AnyFunSuite {
   }
 
   test("mulVec matches matmul with column") {
-    val a = Mat.gaussian(6, 6, 3)
+    val a = TestMats.gaussian(6, 6, 3)
     val v = Array.tabulate(6)(i => (i + 1).toDouble)
     val got = a.mulVec(v)
     val viaMat = a * Mat(6, 1, v)
@@ -66,13 +66,13 @@ class MatSpec extends AnyFunSuite {
 
   for (d <- Seq(2, 3, 8, 16, 33, 64, 128)) {
     test(s"randomOrthogonal(d=$d) has orthonormal rows") {
-      val q = Mat.randomOrthogonal(d, seed = d * 7L)
+      val q = TestMats.randomOrthogonal(d, seed = d * 7L)
       val qqt = q * q.t
       assert(qqt.frobDist(Mat.eye(d)) < 1e-9, s"Q Q^T != I at d=$d")
     }
 
     test(s"randomOrthogonal(d=$d) preserves L2 distances") {
-      val q = Mat.randomOrthogonal(d, seed = d * 13L)
+      val q = TestMats.randomOrthogonal(d, seed = d * 13L)
       val vecs = VectorData.gaussian(8, d, seed = d)
       val qf = q.toFloats
       val rot = vecs.map(Kernels.matVec(qf, _))
@@ -86,9 +86,9 @@ class MatSpec extends AnyFunSuite {
   }
 
   test("randomOrthogonal is deterministic in the seed") {
-    val a = Mat.randomOrthogonal(16, 5)
-    val b = Mat.randomOrthogonal(16, 5)
-    val c = Mat.randomOrthogonal(16, 6)
+    val a = TestMats.randomOrthogonal(16, 5)
+    val b = TestMats.randomOrthogonal(16, 5)
+    val c = TestMats.randomOrthogonal(16, 6)
     assert(a.frobDist(b) == 0.0)
     assert(c.frobDist(a) > 1e-3)
   }
@@ -126,7 +126,7 @@ class MatSpec extends AnyFunSuite {
 
   for (d <- Seq(4, 8, 16, 32)) {
     test(s"symEigen returns an orthogonal basis and reconstructs (d=$d)") {
-      val g = Mat.gaussian(d, d, d * 3L)
+      val g = TestMats.gaussian(d, d, d * 3L)
       val sym = g * g.t // PSD symmetric
       val (eig, rot) = Mat.symEigen(sym, maxSweeps = 20)
       assert((rot * rot.t).frobDist(Mat.eye(d)) < 1e-8)
@@ -173,7 +173,7 @@ class MatSpec extends AnyFunSuite {
   }
 
   test("mulVecF matches mulVec") {
-    val m = Mat.gaussian(12, 12, 8)
+    val m = TestMats.gaussian(12, 12, 8)
     val v = VectorData.gaussian(1, 12, 9).head
     val f = Kernels.matVec(m.toFloats, v)
     val dd = m.mulVec(v.map(_.toDouble))

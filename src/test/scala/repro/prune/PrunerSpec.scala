@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
 import repro.core.{Kernels, PdxLayout, Pruner, TestPruners}
 import repro.data.VectorData
+import repro.linalg.TestMats
 
 class PrunerSpec extends AnyFunSuite {
 
@@ -24,11 +25,74 @@ class PrunerSpec extends AnyFunSuite {
   }
 
   test("ADSampling transformVector matches transformData") {
-    val ads = new AdSampling(16, seed = 4)
-    val vecs = VectorData.gaussian(3, 16, seed = 5)
-    val a = ads.transformData(vecs)
-    val b = vecs.map(ads.transformVector)
-    vecs.indices.foreach(i => assert(a(i).toSeq == b(i).toSeq))
+    for ((d, n) <- Seq(16 -> 3, 768 -> 300)) {
+      val ads = new AdSampling(d, seed = 4)
+      val vecs = VectorData.gaussian(n, d, seed = 5)
+      val a = ads.transformData(vecs)
+      vecs.indices.foreach(i => assert(java.util.Arrays.equals(a(i), ads.transformVector(vecs(i))), s"d=$d vector $i"))
+    }
+  }
+
+  private def dot(x: Array[Float], y: Array[Float]): Double = x.indices.map(i => x(i).toDouble * y(i)).sum
+
+  for (d <- Seq(1, 2, 3, 5, 13, 48, 100, 128, 420, 768, 1536)) {
+    test(s"ADSampling rotation preserves norms and inner products (d=$d)") {
+      val ads = new AdSampling(d, seed = d * 11L)
+      // Random vectors, and the first and last unit vectors (the edges of
+      // the two Hadamard windows).
+      val unit = Seq(0, d - 1).map(j => Array.tabulate(d)(i => if (i == j) 1f else 0f))
+      val vecs = VectorData.gaussian(10, d, seed = d.toLong) ++ unit
+      val rot = vecs.map(ads.transformVector)
+      for (i <- vecs.indices; j <- i until vecs.length) {
+        val before = dot(vecs(i), vecs(j))
+        val after = dot(rot(i), rot(j))
+        val scale = math.sqrt(dot(vecs(i), vecs(i)) * dot(vecs(j), vecs(j)))
+        assert(math.abs(before - after) <= 1e-5 * scale, s"<$i,$j>: $before vs $after")
+      }
+    }
+  }
+
+  test("ADSampling rotation is deterministic in the seed, and seeds differ") {
+    for (d <- Seq(13, 768)) {
+      val v = VectorData.gaussian(1, d, seed = 3).head
+      val a = new AdSampling(d, seed = 5).transformVector(v)
+      assert(java.util.Arrays.equals(a, new AdSampling(d, seed = 5).transformVector(v)), s"d=$d")
+      val b = new AdSampling(d, seed = 6).transformVector(v)
+      assert(a.indices.map(i => math.abs(a(i) - b(i))).max > 1e-3, s"d=$d: seeds 5 and 6 agree")
+    }
+  }
+
+  test("ADSampling rotation leaves its input unchanged") {
+    val v = VectorData.gaussian(1, 100, seed = 4).head
+    val copy = v.clone()
+    new AdSampling(100, seed = 7).transformVector(v)
+    assert(java.util.Arrays.equals(v, copy))
+  }
+
+  test("ADSampling rotation brings every raw dimension into the prefix about as evenly as a dense one") {
+    // The prefix estimate p·D/dv is unbiased when each raw dimension puts
+    // its dv/D share of energy into the first dv rotated dimensions. One
+    // round of the structured rotation leaves the raw dimensions that land
+    // in [P, D) out of the prefix (share 0), and signs and permutations
+    // without the Hadamard mixing give shares of 0 or D/dv; the dense
+    // Gram–Schmidt rotation gives the spread a random rotation has.
+    for (d <- Seq(100, 420, 768)) {
+      val ads = new AdSampling(d, seed = 5)
+      val dense = TestMats.randomOrthogonal(d, seed = 5).toFloats
+      def shares(rotate: Array[Float] => Array[Float], dv: Int): IndexedSeq[Double] =
+        (0 until d).map { j =>
+          val e = new Array[Float](d)
+          e(j) = 1f
+          val y = rotate(e)
+          (0 until dv).map(i => y(i).toDouble * y(i)).sum * d / dv
+        }
+      for (dv <- Seq(32, 128) if dv < d) {
+        val s = shares(ads.transformVector, dv)
+        val r = shares(Kernels.matVec(dense, _), dv)
+        assert(s.min >= r.min / 2 && s.max <= r.max * 2,
+               f"d=$d dv=$dv: structured ${s.min}%.3f..${s.max}%.3f, dense ${r.min}%.3f..${r.max}%.3f")
+      }
+    }
   }
 
   test("ADSampling bound at full dimensionality equals the partial distance") {
@@ -49,13 +113,12 @@ class PrunerSpec extends AnyFunSuite {
     }
   }
 
-  test("ADSampling bound is below the exact distance in expectation (rarely overshoots)") {
-    // For random vectors, the inflated confidence interval should make the
-    // bound exceed the true distance only rarely — that is its whole point.
-    val d = 128
-    val ads = new AdSampling(d, seed = 8)
-    val vecs = VectorData.gaussian(200, d, seed = 9)
-    val q = VectorData.gaussian(1, d, seed = 10).head
+  /** (overshoots, checks): of the (vector, dv) checks, dv a multiple of 16
+    * below d, those at which the ADSampling bound exceeds the vector's full
+    * distance to `q`.
+    */
+  private def overshootRate(ads: AdSampling, vecs: IndexedSeq[Array[Float]], q: Array[Float]): (Int, Int) = {
+    val d = ads.d
     val tv = ads.transformData(vecs)
     val pq = ads.prepareQuery(q)
     var overshoots = 0
@@ -72,6 +135,23 @@ class PrunerSpec extends AnyFunSuite {
         }
       }
     }
+    (overshoots, total)
+  }
+
+  test("ADSampling bound is below the exact distance in expectation (rarely overshoots)") {
+    // For random vectors, the inflated confidence interval should make the
+    // bound exceed the true distance only rarely — that is its whole point.
+    val d = 128
+    val (overshoots, total) = overshootRate(new AdSampling(d, seed = 8), VectorData.gaussian(200, d, seed = 9),
+                                            VectorData.gaussian(1, d, seed = 10).head)
+    assert(overshoots.toDouble / total < 0.05, s"$overshoots/$total overshoots")
+  }
+
+  test("ADSampling bound rarely overshoots at d = 768 on skewed data") {
+    // Power-law dimension scales put most of the energy in a few raw
+    // dimensions; the rotation must still spread it evenly over the prefix.
+    val ds = VectorData.generate(VectorData.DatasetSpec("t", 768, 200, 1, skewed = true, clusters = 8, seed = 11))
+    val (overshoots, total) = overshootRate(new AdSampling(768, seed = 12), ds.vectors, ds.queries.head)
     assert(overshoots.toDouble / total < 0.05, s"$overshoots/$total overshoots")
   }
 

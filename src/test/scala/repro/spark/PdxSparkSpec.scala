@@ -157,7 +157,9 @@ class PdxSparkSpec extends SparkSpec {
 
   test("knnExact and knnBond reject a NaN or infinite query value on the driver, before any job") {
     val blocks = PdxSpark.pack(PdxSpark.toVectorDF(spark, ds.vectors.take(200), numPartitions = 2), 64).cache()
-    for ((pos, bad) <- Seq(3 -> Float.NaN, 0 -> Float.PositiveInfinity, 23 -> Float.NegativeInfinity)) {
+    val firstAndLast = for (pos <- Seq(0, 23); bad <- Seq(Float.NaN, Float.PositiveInfinity, Float.NegativeInfinity))
+      yield pos -> bad
+    for ((pos, bad) <- (3 -> Float.NaN) +: firstAndLast) {
       val q = ds.queries.head.clone()
       q(pos) = bad
       val (_, jobs) = jobsOf {
