@@ -72,9 +72,9 @@ object BenchUtil {
   }
 
   /** One line naming where a table was measured: the CPU model, the CPUs
-    * this JVM may use, the JDK and the commit (marked `+dirty` when the
-    * working tree has uncommitted changes). A field that cannot be read is
-    * `unknown`.
+    * this JVM may use, the JDK and the commit (marked `+dirty` when tracked
+    * files outside bench_results/, which the suites themselves rewrite,
+    * have uncommitted changes). A field that cannot be read is `unknown`.
     */
   lazy val hostFooter: String = {
     val cpu = Try {
@@ -85,7 +85,8 @@ object BenchUtil {
     def git(args: String*): Option[String] =
       Try(sys.process.Process("git" +: args).!!(sys.process.ProcessLogger(_ => ())).trim).toOption
     val commit = git("rev-parse", "--short", "HEAD").fold("unknown") { c =>
-      if (git("status", "--porcelain", "--untracked-files=no").exists(_.nonEmpty)) s"$c+dirty" else c
+      val changed = git("status", "--porcelain", "--untracked-files=no", "--", ".", ":(exclude)bench_results")
+      if (changed.exists(_.nonEmpty)) s"$c+dirty" else c
     }
     s"Host: $cpu; ${Runtime.getRuntime.availableProcessors} usable CPUs; " +
       s"JDK ${System.getProperty("java.version")}; commit $commit.\n"
