@@ -71,24 +71,28 @@ object BenchUtil {
                 StandardOpenOption.CREATE, StandardOpenOption.TRUNCATE_EXISTING)
   }
 
+  /** The host's CPU model, from the first `model name` line of
+    * /proc/cpuinfo, or `unknown` where that cannot be read.
+    */
+  lazy val cpuModel: String = Try {
+    val src = scala.io.Source.fromFile("/proc/cpuinfo")
+    try src.getLines().collectFirst { case l if l.startsWith("model name") => l.split(":", 2)(1).trim }
+    finally src.close()
+  }.toOption.flatten.getOrElse("unknown")
+
   /** One line naming where a table was measured: the CPU model, the CPUs
     * this JVM may use, the JDK and the commit (marked `+dirty` when tracked
     * files outside bench_results/, which the suites themselves rewrite,
     * have uncommitted changes). A field that cannot be read is `unknown`.
     */
   lazy val hostFooter: String = {
-    val cpu = Try {
-      val src = scala.io.Source.fromFile("/proc/cpuinfo")
-      try src.getLines().collectFirst { case l if l.startsWith("model name") => l.split(":", 2)(1).trim }
-      finally src.close()
-    }.toOption.flatten.getOrElse("unknown")
     def git(args: String*): Option[String] =
       Try(sys.process.Process("git" +: args).!!(sys.process.ProcessLogger(_ => ())).trim).toOption
     val commit = git("rev-parse", "--short", "HEAD").fold("unknown") { c =>
       val changed = git("status", "--porcelain", "--untracked-files=no", "--", ".", ":(exclude)bench_results")
       if (changed.exists(_.nonEmpty)) s"$c+dirty" else c
     }
-    s"Host: $cpu; ${Runtime.getRuntime.availableProcessors} usable CPUs; " +
+    s"Host: $cpuModel; ${Runtime.getRuntime.availableProcessors} usable CPUs; " +
       s"JDK ${System.getProperty("java.version")}; commit $commit.\n"
   }
 

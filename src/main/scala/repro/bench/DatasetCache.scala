@@ -31,13 +31,11 @@ object DatasetCache {
       (pruner, pruner.transformData(ds.vectors))
     }))
 
-  /** BSA pruner (multiplier 0.75) + the dataset in PCA space. Jacobi sweeps
-    * capped at 4: the energy concentration pruning needs converges first.
-    */
+  /** BSA pruner (multiplier 0.75) + the dataset in PCA space. */
   def bsaSpace(spec: DatasetSpec): (Bsa, IndexedSeq[Array[Float]]) =
     synchronized(bsaSpaces.getOrElseUpdate(spec, {
       val ds = dataset(spec)
-      val pruner = Bsa.fit(ds.vectors, multiplier = 0.75, seed = spec.seed * 31 + 2, maxSweeps = 4)
+      val pruner = Bsa.fit(ds.vectors, multiplier = 0.75, seed = spec.seed * 31 + 2)
       (pruner, pruner.transformData(ds.vectors))
     }))
 

@@ -1,6 +1,7 @@
 package repro.bench
 
 import repro.core._
+import repro.core.LinearScan.requireQueryDims
 import repro.data.VectorData
 import repro.data.VectorData.DatasetSpec
 import repro.prune.Bond
@@ -24,6 +25,84 @@ object ExactSearchBench {
 
   val competitors: Seq[String] =
     Seq("nary", "nary-scalar", "dsm", "gather", "pdx-linear", "pdx-bond")
+
+  // ------------------------------------------------------------------
+  // DSM: fully decomposed layout — each dimension is one full-collection
+  // column. Same inner loop as PDX but the accumulator array spans the
+  // whole collection (breaking the tight-loop register reuse, as §7 notes).
+  // ------------------------------------------------------------------
+
+  /** Fully decomposed (DSM) layout: one full-collection column per dim. */
+  def packDsm(vecs: IndexedSeq[Array[Float]]): Array[Array[Float]] = {
+    if (vecs.isEmpty) return Array.empty
+    val d = vecs.head.length
+    val n = vecs.length
+    val cols = Array.ofDim[Float](d, n)
+    var i = 0
+    while (i < n) {
+      val v = vecs(i)
+      var dim = 0
+      while (dim < d) { cols(dim)(i) = v(dim); dim += 1 }
+      i += 1
+    }
+    cols
+  }
+
+  /** Full-collection DSM L2: columns(d) holds dimension d of all n vectors. */
+  def l2Dsm(columns: Array[Array[Float]], n: Int, q: Array[Float],
+            acc: Array[Float]): Unit = {
+    java.util.Arrays.fill(acc, 0, n, 0f)
+    var d = 0
+    while (d < columns.length) {
+      val col = columns(d)
+      val qd = q(d)
+      var i = 0
+      while (i < n) { val t = qd - col(i); acc(i) += t * t; i += 1 }
+      d += 1
+    }
+  }
+
+  /** Horizontal scan with the plain scalar kernel (the "vanilla" baseline). */
+  def naryScalarKnn(data: Array[Float], n: Int, d: Int, q: Array[Float], k: Int): KnnHeap = {
+    requireQueryDims(q, d)
+    val heap = new KnnHeap(k)
+    var i = 0
+    while (i < n) {
+      heap.push(i.toLong, KernelBench.l2Scalar(data, i * d, q, d))
+      i += 1
+    }
+    heap
+  }
+
+  /** Fully decomposed (DSM) linear scan: whole-collection columns. */
+  def dsmKnn(columns: Array[Array[Float]], n: Int, q: Array[Float], k: Int): KnnHeap = {
+    requireQueryDims(q, columns.length)
+    val acc = new Array[Float](n)
+    l2Dsm(columns, n, q, acc)
+    val heap = new KnnHeap(k)
+    var i = 0
+    while (i < n) { heap.push(i.toLong, acc(i)); i += 1 }
+    heap
+  }
+
+  /** N-ary + on-the-fly gather scan (§7): PDX-style computation with
+    * strided loads from horizontal storage, one PDX block's worth of vectors
+    * (64) at-a-time.
+    */
+  def gatherKnn(data: Array[Float], n: Int, d: Int, q: Array[Float], k: Int): KnnHeap = {
+    requireQueryDims(q, d)
+    val heap = new KnnHeap(k)
+    val out = new Array[Float](PdxLayout.DefaultBlockSize)
+    var v0 = 0
+    while (v0 < n) {
+      val count = math.min(PdxLayout.DefaultBlockSize, n - v0)
+      KernelBench.l2NaryGather(data, v0, count, d, q, out)
+      var i = 0
+      while (i < count) { heap.push((v0 + i).toLong, out(i)); i += 1 }
+      v0 += count
+    }
+    heap
+  }
 
   /** Queries per second of `f` over `queries`: one warmup pass, then whole
     * passes until at least `minNs` have elapsed.
@@ -58,7 +137,7 @@ object ExactSearchBench {
       val nary = PdxLayout.packNary(vecs)
       val naryBucket = NaryBucket(ids.toArray, n, d, nary, PdxLayout.globalMeans(vecs),
                                   Array.emptyFloatArray)
-      val dsm = PdxLayout.packDsm(vecs)
+      val dsm = packDsm(vecs)
       val blocks64 = PdxLayout.pack(vecs, ids, 64)
       val bondBlocks = PdxLayout.pack(vecs, ids, math.max(256, n / 10))
       val bond = new Bond(d, Bond.DistanceToMeans)
@@ -68,9 +147,9 @@ object ExactSearchBench {
 
       val qps = Map(
         "nary" -> qpsOf(q => BenchUtil.consume(LinearScan.naryKnn(Iterator.single(naryBucket), q, k).threshold)),
-        "nary-scalar" -> qpsOf(q => BenchUtil.consume(LinearScan.naryScalarKnn(nary, n, d, q, k).threshold)),
-        "dsm" -> qpsOf(q => BenchUtil.consume(LinearScan.dsmKnn(dsm, n, q, k).threshold)),
-        "gather" -> qpsOf(q => BenchUtil.consume(LinearScan.gatherKnn(nary, n, d, q, k).threshold)),
+        "nary-scalar" -> qpsOf(q => BenchUtil.consume(naryScalarKnn(nary, n, d, q, k).threshold)),
+        "dsm" -> qpsOf(q => BenchUtil.consume(dsmKnn(dsm, n, q, k).threshold)),
+        "gather" -> qpsOf(q => BenchUtil.consume(gatherKnn(nary, n, d, q, k).threshold)),
         "pdx-linear" -> qpsOf(q => BenchUtil.consume(LinearScan.pdxKnn(blocks64, q, k).threshold)),
         "pdx-bond" -> qpsOf(q => BenchUtil.consume(searcher.search(bondBlocks, q, bond).threshold)),
       )
@@ -98,10 +177,10 @@ object ExactSearchBench {
     val results = Seq(8_000, 64_000, 400_000, 2_000_000).map { n =>
       val vecs = VectorData.gaussian(n, d, seed = 1234L + n)
       val queries = VectorData.gaussian(5, d, seed = 4321L + n)
-      val dsm = PdxLayout.packDsm(vecs)
+      val dsm = packDsm(vecs)
       val blocks = PdxLayout.pack(vecs, vecs.indices.map(_.toLong), 64)
       val qpsOf = measureQps(queries, 300_000_000L) _
-      val dsmQps = qpsOf(q => BenchUtil.consume(LinearScan.dsmKnn(dsm, n, q, BenchConfig.K).threshold))
+      val dsmQps = qpsOf(q => BenchUtil.consume(dsmKnn(dsm, n, q, BenchConfig.K).threshold))
       val pdxQps = qpsOf(q => BenchUtil.consume(LinearScan.pdxKnn(blocks, q, BenchConfig.K).threshold))
       n -> pdxQps / dsmQps
     }

@@ -1,6 +1,7 @@
 package repro.bench
 
-import repro.core.{Kernels, PdxLayout}
+import repro.core.Kernels.{ipUnrolled, l2Pdx, l2Unrolled}
+import repro.core.PdxLayout
 import repro.data.VectorData
 
 /** Raw distance-kernel microbenchmarks — Tables 4 and 5 (§6.2).
@@ -10,8 +11,150 @@ import repro.data.VectorData
   * the paper. The horizontal baseline is the 4-way-unrolled kernel (the JVM
   * stand-in for explicit-SIMD kernels, DESIGN.md #1); the PDX side processes
   * pre-packed blocks of `blockSize` vectors at-a-time.
+  *
+  * The kernels only this benchmark measures (the scalar and L1 ones, IP over
+  * PDX, N-ary+Gather) live here; the others are the searches' own
+  * ([[repro.core.Kernels]]). The timed loops call dispatchers with a static
+  * `match` on the metric, so no function value enters a measurement.
   */
 object KernelBench {
+
+  sealed trait Metric { def name: String }
+  case object L2 extends Metric { val name = "L2" }
+  case object L1 extends Metric { val name = "L1" }
+  case object IP extends Metric { val name = "IP" }
+  val metrics: Seq[Metric] = Seq(L2, IP, L1)
+
+  /** Plain scalar L2 (serial FP reduction — the "vanilla scalar" baseline). */
+  def l2Scalar(a: Array[Float], o: Int, q: Array[Float], d: Int): Float = {
+    var s = 0f; var i = 0
+    while (i < d) { val t = q(i) - a(o + i); s += t * t; i += 1 }
+    s
+  }
+
+  def l1Scalar(a: Array[Float], o: Int, q: Array[Float], d: Int): Float = {
+    var s = 0f; var i = 0
+    while (i < d) { s += math.abs(q(i) - a(o + i)); i += 1 }
+    s
+  }
+
+  def ipScalar(a: Array[Float], o: Int, q: Array[Float], d: Int): Float = {
+    var s = 0f; var i = 0
+    while (i < d) { s += q(i) * a(o + i); i += 1 }
+    s
+  }
+
+  def l1Unrolled(a: Array[Float], o: Int, q: Array[Float], d: Int): Float = {
+    var s0 = 0f; var s1 = 0f; var s2 = 0f; var s3 = 0f
+    var i = 0
+    val lim = d - 3
+    while (i < lim) {
+      s0 += math.abs(q(i) - a(o + i))
+      s1 += math.abs(q(i + 1) - a(o + i + 1))
+      s2 += math.abs(q(i + 2) - a(o + i + 2))
+      s3 += math.abs(q(i + 3) - a(o + i + 3))
+      i += 4
+    }
+    while (i < d) { s0 += math.abs(q(i) - a(o + i)); i += 1 }
+    s0 + s1 + s2 + s3
+  }
+
+  /** Horizontal kernel dispatch (unrolled = "best SIMD" stand-in). */
+  def nary(metric: Metric)(a: Array[Float], o: Int, q: Array[Float], d: Int): Float =
+    metric match {
+      case L2 => l2Unrolled(a, o, q, 0, d)
+      case L1 => l1Unrolled(a, o, q, d)
+      case IP => ipUnrolled(a, o, q, d)
+    }
+
+  def naryScalar(metric: Metric)(a: Array[Float], o: Int, q: Array[Float], d: Int): Float =
+    metric match {
+      case L2 => l2Scalar(a, o, q, d)
+      case L1 => l1Scalar(a, o, q, d)
+      case IP => ipScalar(a, o, q, d)
+    }
+
+  def l1Pdx(data: Array[Float], n: Int, q: Array[Float], d0: Int, d1: Int,
+            acc: Array[Float]): Unit = {
+    var d = d0
+    while (d + 3 < d1) {
+      val off0 = d * n; val off1 = off0 + n; val off2 = off1 + n; val off3 = off2 + n
+      val q0 = q(d); val q1 = q(d + 1); val q2 = q(d + 2); val q3 = q(d + 3)
+      var i = 0
+      while (i < n) {
+        acc(i) += math.abs(q0 - data(off0 + i)) + math.abs(q1 - data(off1 + i)) +
+          math.abs(q2 - data(off2 + i)) + math.abs(q3 - data(off3 + i))
+        i += 1
+      }
+      d += 4
+    }
+    while (d < d1) {
+      val off = d * n
+      val qd = q(d)
+      var i = 0
+      while (i < n) { acc(i) += math.abs(qd - data(off + i)); i += 1 }
+      d += 1
+    }
+  }
+
+  def ipPdx(data: Array[Float], n: Int, q: Array[Float], d0: Int, d1: Int,
+            acc: Array[Float]): Unit = {
+    var d = d0
+    while (d + 3 < d1) {
+      val off0 = d * n; val off1 = off0 + n; val off2 = off1 + n; val off3 = off2 + n
+      val q0 = q(d); val q1 = q(d + 1); val q2 = q(d + 2); val q3 = q(d + 3)
+      var i = 0
+      while (i < n) {
+        acc(i) += q0 * data(off0 + i) + q1 * data(off1 + i) +
+          q2 * data(off2 + i) + q3 * data(off3 + i)
+        i += 1
+      }
+      d += 4
+    }
+    while (d < d1) {
+      val off = d * n
+      val qd = q(d)
+      var i = 0
+      while (i < n) { acc(i) += qd * data(off + i); i += 1 }
+      d += 1
+    }
+  }
+
+  def pdx(metric: Metric)(data: Array[Float], n: Int, q: Array[Float],
+                          d0: Int, d1: Int, acc: Array[Float]): Unit =
+    metric match {
+      case L2 => l2Pdx(data, n, q, null, d0, d1, acc)
+      case L1 => l1Pdx(data, n, q, d0, d1, acc)
+      case IP => ipPdx(data, n, q, d0, d1, acc)
+    }
+
+  // ------------------------------------------------------------------
+  // N-ary + Gather (§7): PDX-style computation over horizontal storage by
+  // transposing 64-vector groups on the fly. On the JVM the "gather" is a
+  // strided load, modelling exactly the access-pattern cost the paper
+  // measures (no fast gather on NEON / costly one on Zen4).
+  // ------------------------------------------------------------------
+
+  /** L2 of a query against `count` vectors stored horizontally starting at
+    * vector index `v0`, computed dimension-at-a-time via strided access,
+    * writing per-vector distances into `out(0 until count)`.
+    */
+  def l2NaryGather(a: Array[Float], v0: Int, count: Int, d: Int,
+                   q: Array[Float], out: Array[Float]): Unit = {
+    java.util.Arrays.fill(out, 0, count, 0f)
+    var dim = 0
+    while (dim < d) {
+      val qd = q(dim)
+      val base = v0 * d + dim
+      var i = 0
+      while (i < count) {
+        val t = qd - a(base + i * d) // strided "gather" load
+        out(i) += t * t
+        i += 1
+      }
+      dim += 1
+    }
+  }
 
   final case class Combo(d: Int, n: Int)
 
@@ -36,11 +179,11 @@ object KernelBench {
   /** Measure one (metric, combo) across layouts. `quick` lowers rep counts
     * for functional tests.
     */
-  def measure(metric: Kernels.Metric, combo: Combo, blockSize: Int = 64,
+  def measure(metric: Metric, combo: Combo, blockSize: Int = 64,
               quick: Boolean = false, withExtras: Boolean = true): Measurement = {
     val vecs = VectorData.gaussian(combo.n, combo.d, seed = combo.d * 1000L + combo.n)
     val query = VectorData.gaussian(1, combo.d, seed = 991L + combo.d).head
-    val nary = PdxLayout.packNary(vecs)
+    val horizontal = PdxLayout.packNary(vecs)
     val blocks = PdxLayout.pack(vecs, vecs.indices.map(_.toLong), blockSize)
     val acc = new Array[Float](blocks.map(_.n).max)
     val gatherOut = new Array[Float](64)
@@ -51,7 +194,7 @@ object KernelBench {
       var i = 0
       var sink = 0f
       while (i < combo.n) {
-        sink += Kernels.nary(metric)(nary, i * combo.d, query, combo.d)
+        sink += nary(metric)(horizontal, i * combo.d, query, combo.d)
         i += 1
       }
       BenchUtil.consume(sink)
@@ -61,7 +204,7 @@ object KernelBench {
       var sink = 0f
       blocks.foreach { b =>
         java.util.Arrays.fill(acc, 0, b.n, 0f)
-        Kernels.pdx(metric)(b.data, b.n, query, 0, b.d, acc)
+        pdx(metric)(b.data, b.n, query, 0, b.d, acc)
         sink += acc(0)
       }
       BenchUtil.consume(sink)
@@ -73,7 +216,7 @@ object KernelBench {
         var i = 0
         var sink = 0f
         while (i < combo.n) {
-          sink += Kernels.naryScalar(metric)(nary, i * combo.d, query, combo.d)
+          sink += naryScalar(metric)(horizontal, i * combo.d, query, combo.d)
           i += 1
         }
         BenchUtil.consume(sink)
@@ -81,13 +224,13 @@ object KernelBench {
 
     // Gather only defined for L2 (the §7 study is on the L2 kernel).
     val gatherNanos =
-      if (!withExtras || metric != Kernels.L2) Double.NaN
+      if (!withExtras || metric != L2) Double.NaN
       else BenchUtil.timePerOp(minBatch, reps) {
         var v0 = 0
         var sink = 0f
         while (v0 < combo.n) {
           val count = math.min(64, combo.n - v0)
-          Kernels.l2NaryGather(nary, v0, count, combo.d, query, gatherOut)
+          l2NaryGather(horizontal, v0, count, combo.d, query, gatherOut)
           sink += gatherOut(0)
           v0 += count
         }
@@ -106,22 +249,22 @@ object KernelBench {
       : (String, Map[(String, String), Double]) = {
     val cs = combos(ds, sizes)
     val ms = for {
-      metric <- Kernels.metrics
+      metric <- metrics
       c <- cs
     } yield measure(metric, c, quick = quick)
 
     val groups = Seq("D=8", "D=16,32", "D>32", "All")
     val cells = (for {
-      metric <- Kernels.metrics
+      metric <- metrics
       g <- groups
     } yield {
       val sel = ms.filter(m => m.metric == metric.name && (g == "All" || group(m.d) == g))
       (metric.name, g) -> BenchUtil.geomean(sel.map(_.speedup))
     }).toMap
 
-    val header = Seq("Arch.") ++ Kernels.metrics.flatMap(m => groups.map(g => s"${m.name} $g"))
+    val header = Seq("Arch.") ++ metrics.flatMap(m => groups.map(g => s"${m.name} $g"))
     val row = Seq("JVM/C2 (this host)") ++
-      Kernels.metrics.flatMap(m => groups.map(g => BenchUtil.f1(cells((m.name, g)))))
+      metrics.flatMap(m => groups.map(g => BenchUtil.f1(cells((m.name, g)))))
 
     val detail = BenchUtil.markdownTable(
       Seq("metric", "D", "n", "nary ns", "pdx ns", "PDX speedup", "vs scalar", "gather slowdown"),
@@ -143,7 +286,7 @@ object KernelBench {
     val cs = combos(ds, sizes)
     val cells = blockSizes.map { bs =>
       val speedups = cs.map { c =>
-        val m = measure(Kernels.L2, c, blockSize = bs, quick = quick, withExtras = false)
+        val m = measure(L2, c, blockSize = bs, quick = quick, withExtras = false)
         m.speedup
       }
       bs -> BenchUtil.geomean(speedups)

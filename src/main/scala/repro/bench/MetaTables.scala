@@ -1,6 +1,5 @@
 package repro.bench
 
-import scala.util.Try
 import repro.data.VectorData
 import repro.data.VectorData.DatasetSpec
 
@@ -28,18 +27,13 @@ object MetaTables {
   }
 
   def table3(): String = {
-    val cpuModel = Try {
-      val src = scala.io.Source.fromFile("/proc/cpuinfo")
-      try src.getLines().find(_.startsWith("model name")).map(_.split(":").last.trim)
-      finally src.close()
-    }.toOption.flatten.getOrElse("unknown")
     BenchUtil.markdownTable(
       Seq("Architecture", "Scalar ISA", "Vector backend", "CPU Model", "Cores", "JVM"),
       Seq(Seq(
         System.getProperty("os.arch"),
         System.getProperty("os.arch"),
         "HotSpot C2 auto-vectorization",
-        cpuModel,
+        BenchUtil.cpuModel,
         Runtime.getRuntime.availableProcessors.toString,
         System.getProperty("java.vm.version")
       ))

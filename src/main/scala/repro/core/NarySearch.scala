@@ -121,9 +121,11 @@ final class NarySearcher(val k: Int, deltaD: Int, val profiler: SearchProfiler =
   }
 }
 
-/** Exact linear scans over each layout — the non-pruning competitors
-  * (FAISS / Milvus / USearch / sklearn stand-ins, DSM, PDX-LINEAR-SCAN,
-  * N-ary+Gather of §7).
+/** Exact linear scans over the two layouts the system stores — the
+  * unrolled horizontal scan (the FAISS / Milvus / USearch stand-in) and
+  * PDX-LINEAR-SCAN — and the query checks every search entry point shares.
+  * The other exact-search competitors (the scalar scan, DSM and N-ary+Gather
+  * of §7) live in [[repro.bench.ExactSearchBench]], which alone runs them.
   */
 object LinearScan {
 
@@ -141,18 +143,6 @@ object LinearScan {
         heap.push(b.ids(i), Kernels.l2Unrolled(b.data, i * b.d, q, 0, b.d))
         i += 1
       }
-    }
-    heap
-  }
-
-  /** Horizontal scan with the plain scalar kernel (the "vanilla" baseline). */
-  def naryScalarKnn(data: Array[Float], n: Int, d: Int, q: Array[Float], k: Int): KnnHeap = {
-    requireQueryDims(q, d)
-    val heap = new KnnHeap(k)
-    var i = 0
-    while (i < n) {
-      heap.push(i.toLong, Kernels.l2Scalar(data, i * d, q, d))
-      i += 1
     }
     heap
   }
@@ -199,36 +189,6 @@ object LinearScan {
       scoreBlock(b, q, acc)
       var i = 0
       while (i < b.n) { heap.push(b.ids(i), acc(i)); i += 1 }
-    }
-    heap
-  }
-
-  /** Fully decomposed (DSM) linear scan: whole-collection columns. */
-  def dsmKnn(columns: Array[Array[Float]], n: Int, q: Array[Float], k: Int): KnnHeap = {
-    requireQueryDims(q, columns.length)
-    val acc = new Array[Float](n)
-    Kernels.l2Dsm(columns, n, q, acc)
-    val heap = new KnnHeap(k)
-    var i = 0
-    while (i < n) { heap.push(i.toLong, acc(i)); i += 1 }
-    heap
-  }
-
-  /** N-ary + on-the-fly gather scan (§7): PDX-style computation with
-    * strided loads from horizontal storage, one PDX block's worth of vectors
-    * (64) at-a-time.
-    */
-  def gatherKnn(data: Array[Float], n: Int, d: Int, q: Array[Float], k: Int): KnnHeap = {
-    requireQueryDims(q, d)
-    val heap = new KnnHeap(k)
-    val out = new Array[Float](PdxLayout.DefaultBlockSize)
-    var v0 = 0
-    while (v0 < n) {
-      val count = math.min(PdxLayout.DefaultBlockSize, n - v0)
-      Kernels.l2NaryGather(data, v0, count, d, q, out)
-      var i = 0
-      while (i < count) { heap.push((v0 + i).toLong, out(i)); i += 1 }
-      v0 += count
     }
     heap
   }

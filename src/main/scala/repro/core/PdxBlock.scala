@@ -136,22 +136,6 @@ object PdxLayout {
     out
   }
 
-  /** Fully decomposed (DSM) layout: one full-collection column per dim. */
-  def packDsm(vecs: IndexedSeq[Array[Float]]): Array[Array[Float]] = {
-    if (vecs.isEmpty) return Array.empty
-    val d = vecs.head.length
-    val n = vecs.length
-    val cols = Array.ofDim[Float](d, n)
-    var i = 0
-    while (i < n) {
-      val v = vecs(i)
-      var dim = 0
-      while (dim < d) { cols(dim)(i) = v(dim); dim += 1 }
-      i += 1
-    }
-    cols
-  }
-
   /** Global per-dimension means of a collection (PDX-BOND exact-search
     * ordering uses collection-level means when blocks are large partitions).
     */

@@ -87,6 +87,7 @@ object Mat {
 
   private final val EigenTolerance = 1e-10 // off-diagonal / matrix norm that ends the sweeps
   private final val PcaSample = 4096
+  private final val PcaSweeps = 4 // of the PCA fit: pruning's energy concentration converges first
 
   /** Cyclic Jacobi eigendecomposition of a symmetric matrix.
     *
@@ -193,15 +194,14 @@ object Mat {
     * first. Computed on a seeded subsample of 4096 when the collection is
     * large (covariance converges fast; Jacobi cost is D-bound anyway).
     */
-  def pcaRotation(vectors: IndexedSeq[Array[Float]], seed: Long = 7,
-                  maxSweeps: Int = 8): Mat = {
+  def pcaRotation(vectors: IndexedSeq[Array[Float]], seed: Long = 7): Mat = {
     val sample =
       if (vectors.length <= PcaSample) vectors
       else {
         val rnd = new Random(seed)
         IndexedSeq.fill(PcaSample)(vectors(rnd.nextInt(vectors.length)))
       }
-    val (_, rot) = symEigen(covariance(sample), maxSweeps)
+    val (_, rot) = symEigen(covariance(sample), PcaSweeps)
     rot
   }
 }

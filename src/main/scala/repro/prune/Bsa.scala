@@ -76,25 +76,24 @@ final class Bsa(val d: Int, val multiplier: Double,
 object Bsa {
 
   /** Exact BSA: pure Cauchy–Schwarz bound (c ≡ 1), no recall trade-off. */
-  def fitExact(vecs: IndexedSeq[Array[Float]], seed: Long = 7, maxSweeps: Int = 8): Bsa =
-    fitInternal(vecs, Double.PositiveInfinity, seed, maxSweeps, learn = false)
+  def fitExact(vecs: IndexedSeq[Array[Float]], seed: Long = 7): Bsa =
+    fitInternal(vecs, Double.PositiveInfinity, seed, learn = false)
 
   /** Approximate BSA with learned per-dimension residual-cosine quantiles;
     * `multiplier` scales the learned quantile (1.0 = as learned).
     */
-  def fit(vecs: IndexedSeq[Array[Float]], multiplier: Double = 1.0,
-          seed: Long = 7, maxSweeps: Int = 8): Bsa =
-    fitInternal(vecs, multiplier, seed, maxSweeps, learn = true)
+  def fit(vecs: IndexedSeq[Array[Float]], multiplier: Double = 1.0, seed: Long = 7): Bsa =
+    fitInternal(vecs, multiplier, seed, learn = true)
 
   private final val Quantile = 0.995 // of the residual cosine, per prefix length
   private final val SamplePairs = 512 // near-neighbour pairs it is learned from
 
   private def fitInternal(vecs: IndexedSeq[Array[Float]], multiplier: Double,
-                          seed: Long, maxSweeps: Int, learn: Boolean): Bsa = {
+                          seed: Long, learn: Boolean): Bsa = {
     require(vecs.nonEmpty, "cannot fit BSA on 0 vectors")
     val d = vecs.head.length
     val mean = PdxLayout.globalMeans(vecs)
-    val basis = Mat.pcaRotation(vecs, seed = seed, maxSweeps = maxSweeps).toFloats
+    val basis = Mat.pcaRotation(vecs, seed = seed).toFloats
     val cq =
       if (!learn) Array.fill(d + 1)(1f)
       else learnCosQuantiles(basis, mean, vecs, seed)

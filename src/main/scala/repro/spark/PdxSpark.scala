@@ -124,16 +124,19 @@ object PdxSpark {
 
   /** Register the `pdx_block_knn(data, n, d, ids, query, k)` UDF: scans one
     * PDX block dimension-at-a-time and returns its local top-k as
-    * `array<struct<id, dist>>` — the SQL-facing dimension-scan path.
+    * `array<struct<id, dist>>` — the SQL-facing dimension-scan path. A NaN
+    * or infinite query value fails the query, naming its position.
     */
   def registerUdf(spark: SparkSession): Unit = {
     spark.udf.register(
       "pdx_block_knn",
       (data: Seq[Float], n: Int, d: Int, ids: Seq[Long], query: Seq[Float], k: Int) => {
+        val q = query.toArray
+        LinearScan.requireFiniteQuery(q)
         // A linear scan never reads the block means, so zeros stand in.
         val block = PdxBlock(ids.toArray, n, d, data.toArray, new Array[Float](d),
                              Array.emptyFloatArray)
-        LinearScan.pdxKnn(Iterator.single(block), query.toArray, k).sorted
+        LinearScan.pdxKnn(Iterator.single(block), q, k).sorted
           .map { case (id, dist) => (id, dist.toDouble) }
       }
     )

@@ -35,7 +35,7 @@ class BenchHarnessSpec extends AnyFunSuite {
   }
 
   test("KernelBench.measure returns positive timings and sane speedups") {
-    val m = KernelBench.measure(repro.core.Kernels.L2, KernelBench.Combo(16, 512), quick = true)
+    val m = KernelBench.measure(KernelBench.L2, KernelBench.Combo(16, 512), quick = true)
     assert(m.naryNanos > 0 && m.pdxNanos > 0 && m.scalarNanos > 0 && m.gatherNanos > 0)
     assert(m.speedup > 0.1 && m.speedup < 100)
   }

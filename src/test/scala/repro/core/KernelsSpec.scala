@@ -3,6 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.Gen
 import repro.TestUtil.forAllSampled
+import repro.bench.{ExactSearchBench, KernelBench}
 import repro.data.VectorData
 
 class KernelsSpec extends AnyFunSuite {
@@ -12,14 +13,14 @@ class KernelsSpec extends AnyFunSuite {
   private val dims = Seq(1, 2, 3, 4, 5, 7, 8, 15, 16, 31, 32, 33, 64, 100, 128, 257)
 
   // --- horizontal kernels vs double reference, every metric and D ---
-  for (metric <- Kernels.metrics; d <- dims) {
+  for (metric <- KernelBench.metrics; d <- dims) {
     test(s"${metric.name} unrolled horizontal kernel matches reference at d=$d") {
       val vecs = VectorData.gaussian(5, d, seed = d * 17L)
       val q = VectorData.gaussian(1, d, seed = d * 19L).head
       val nary = PdxLayout.packNary(vecs)
       vecs.indices.foreach { i =>
-        val got = Kernels.nary(metric)(nary, i * d, q, d)
-        val ref = Kernels.ref(metric)(vecs(i), q)
+        val got = KernelBench.nary(metric)(nary, i * d, q, d)
+        val ref = TestKernels.ref(metric)(vecs(i), q)
         assert(math.abs(got - ref) <= relTol(ref, d), s"i=$i got=$got ref=$ref")
       }
     }
@@ -29,15 +30,15 @@ class KernelsSpec extends AnyFunSuite {
       val q = VectorData.gaussian(1, d, seed = d * 29L).head
       val nary = PdxLayout.packNary(vecs)
       vecs.indices.foreach { i =>
-        val got = Kernels.naryScalar(metric)(nary, i * d, q, d)
-        val ref = Kernels.ref(metric)(vecs(i), q)
+        val got = KernelBench.naryScalar(metric)(nary, i * d, q, d)
+        val ref = TestKernels.ref(metric)(vecs(i), q)
         assert(math.abs(got - ref) <= relTol(ref, d), s"i=$i got=$got ref=$ref")
       }
     }
   }
 
   // --- PDX kernels vs horizontal, across block sizes ---
-  for (metric <- Kernels.metrics; bs <- Seq(1, 3, 16, 64, 256); d <- Seq(4, 33, 128)) {
+  for (metric <- KernelBench.metrics; bs <- Seq(1, 3, 16, 64, 256); d <- Seq(4, 33, 128)) {
     test(s"${metric.name} PDX kernel == reference at blockSize=$bs d=$d") {
       val n = 100
       val vecs = VectorData.gaussian(n, d, seed = bs * 100L + d)
@@ -46,9 +47,9 @@ class KernelsSpec extends AnyFunSuite {
       var idx = 0
       blocks.foreach { b =>
         val acc = new Array[Float](b.n)
-        Kernels.pdx(metric)(b.data, b.n, q, 0, b.d, acc)
+        KernelBench.pdx(metric)(b.data, b.n, q, 0, b.d, acc)
         (0 until b.n).foreach { i =>
-          val ref = Kernels.ref(metric)(vecs(idx), q)
+          val ref = TestKernels.ref(metric)(vecs(idx), q)
           assert(math.abs(acc(i) - ref) <= relTol(ref, d), s"vec $idx got=${acc(i)} ref=$ref")
           idx += 1
         }
@@ -129,7 +130,7 @@ class KernelsSpec extends AnyFunSuite {
     val q = VectorData.gaussian(1, d, seed = 15).head
     val nary = PdxLayout.packNary(vecs)
     vecs.indices.foreach { i =>
-      val full = Kernels.l2Scalar(nary, i * d, q, d)
+      val full = KernelBench.l2Scalar(nary, i * d, q, d)
       val parts = Kernels.l2Unrolled(nary, i * d, q, 0, 13) +
         Kernels.l2Unrolled(nary, i * d, q, 13, 37) +
         Kernels.l2Unrolled(nary, i * d, q, 37, d)
@@ -146,7 +147,7 @@ class KernelsSpec extends AnyFunSuite {
       var v0 = 0
       while (v0 < n) {
         val count = math.min(64, n - v0)
-        Kernels.l2NaryGather(nary, v0, count, d, q, out)
+        KernelBench.l2NaryGather(nary, v0, count, d, q, out)
         (0 until count).foreach { i =>
           val ref = Kernels.l2Ref(vecs(v0 + i), q)
           assert(math.abs(out(i) - ref) <= relTol(ref, d))
@@ -161,9 +162,9 @@ class KernelsSpec extends AnyFunSuite {
     val n = 200
     val vecs = VectorData.gaussian(n, d, seed = 40)
     val q = VectorData.gaussian(1, d, seed = 41).head
-    val cols = PdxLayout.packDsm(vecs)
+    val cols = ExactSearchBench.packDsm(vecs)
     val acc = new Array[Float](n)
-    Kernels.l2Dsm(cols, n, q, acc)
+    ExactSearchBench.l2Dsm(cols, n, q, acc)
     (0 until n).foreach { i =>
       val ref = Kernels.l2Ref(vecs(i), q)
       assert(math.abs(acc(i) - ref) <= relTol(ref, d))
@@ -214,6 +215,6 @@ class KernelsSpec extends AnyFunSuite {
   test("L2 of identical vectors is zero, L1 of identical vectors is zero") {
     val v = VectorData.gaussian(1, 77, seed = 50).head
     assert(Kernels.l2Unrolled(v, 0, v, 0, 77) == 0f)
-    assert(Kernels.l1Unrolled(v, 0, v, 77) == 0f)
+    assert(KernelBench.l1Unrolled(v, 0, v, 77) == 0f)
   }
 }

@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
+import repro.bench.ExactSearchBench
 import repro.data.VectorData
 import repro.prune.{AdSampling, Bond, Bsa}
 
@@ -179,16 +180,16 @@ class NarySearchSpec extends AnyFunSuite {
     val d = 33
     val ds = clustered(500, d, seed = 17)
     val nary = PdxLayout.packNary(ds.vectors)
-    val dsm = PdxLayout.packDsm(ds.vectors)
+    val dsm = ExactSearchBench.packDsm(ds.vectors)
     val blocks = PdxLayout.pack(ds.vectors, ds.ids, 64)
     val bucket = NaryBucket(ds.ids.toArray, 500, d, nary, PdxLayout.globalMeans(ds.vectors),
                             Array.emptyFloatArray)
     ds.queries.foreach { q =>
       TestUtil.assertExactKnn(LinearScan.naryKnn(Seq(bucket), q, 10).sorted, ds.vectors, q, 10)
-      TestUtil.assertExactKnn(LinearScan.naryScalarKnn(nary, 500, d, q, 10).sorted, ds.vectors, q, 10)
-      TestUtil.assertExactKnn(LinearScan.dsmKnn(dsm, 500, q, 10).sorted, ds.vectors, q, 10)
+      TestUtil.assertExactKnn(ExactSearchBench.naryScalarKnn(nary, 500, d, q, 10).sorted, ds.vectors, q, 10)
+      TestUtil.assertExactKnn(ExactSearchBench.dsmKnn(dsm, 500, q, 10).sorted, ds.vectors, q, 10)
       TestUtil.assertExactKnn(LinearScan.pdxKnn(blocks, q, 10).sorted, ds.vectors, q, 10)
-      TestUtil.assertExactKnn(LinearScan.gatherKnn(nary, 500, d, q, 10).sorted, ds.vectors, q, 10)
+      TestUtil.assertExactKnn(ExactSearchBench.gatherKnn(nary, 500, d, q, 10).sorted, ds.vectors, q, 10)
     }
   }
 
@@ -196,13 +197,13 @@ class NarySearchSpec extends AnyFunSuite {
     val d = 9
     val vecs = VectorData.gaussian(70, d, seed = 23)
     val nary = PdxLayout.packNary(vecs)
-    val dsm = PdxLayout.packDsm(vecs)
+    val dsm = ExactSearchBench.packDsm(vecs)
     for (len <- Seq(d - 1, d + 1)) {
       val q = VectorData.gaussian(1, len, seed = len.toLong).head
       val calls = Seq[() => Any](
-        () => LinearScan.naryScalarKnn(nary, 70, d, q, 10),
-        () => LinearScan.dsmKnn(dsm, 70, q, 10),
-        () => LinearScan.gatherKnn(nary, 70, d, q, 10))
+        () => ExactSearchBench.naryScalarKnn(nary, 70, d, q, 10),
+        () => ExactSearchBench.dsmKnn(dsm, 70, q, 10),
+        () => ExactSearchBench.gatherKnn(nary, 70, d, q, 10))
       calls.foreach { call =>
         val e = intercept[IllegalArgumentException](call())
         assert(e.getMessage.contains(s"query has $len dimensions but the block has $d"))

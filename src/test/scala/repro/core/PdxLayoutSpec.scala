@@ -3,6 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.Gen
 import repro.TestUtil.forAllSampled
+import repro.bench.ExactSearchBench
 import repro.data.VectorData
 
 class PdxLayoutSpec extends AnyFunSuite {
@@ -120,7 +121,7 @@ class PdxLayoutSpec extends AnyFunSuite {
 
   test("packDsm columns hold one dimension each") {
     val vecs = IndexedSeq(Array(1f, 2f), Array(3f, 4f), Array(5f, 6f))
-    val cols = PdxLayout.packDsm(vecs)
+    val cols = ExactSearchBench.packDsm(vecs)
     assert(cols.length == 2)
     assert(cols(0).toSeq == Seq(1f, 3f, 5f))
     assert(cols(1).toSeq == Seq(2f, 4f, 6f))

@@ -235,4 +235,19 @@ class PdxSparkSpec extends SparkSpec {
     val gt = VectorData.groundTruth(vecs.toIndexedSeq, IndexedSeq(q), 10).head.toSet
     assert(res == gt)
   }
+
+  test("pdx_block_knn UDF rejects a NaN query value, naming its position") {
+    PdxSpark.registerUdf(spark)
+    PdxSpark.pack(PdxSpark.toVectorDF(spark, ds.vectors.take(100), numPartitions = 2), 64)
+      .createOrReplaceTempView("pdx_blocks_nan")
+    val q = ds.queries.head.clone()
+    q(23) = Float.NaN
+    val qSql = q.map(x => s"CAST('$x' AS FLOAT)").mkString("array(", ", ", ")")
+    val e = intercept[Exception] {
+      spark.sql(s"SELECT pdx_block_knn(data, n, d, ids, $qSql, 10) FROM pdx_blocks_nan").collect()
+    }
+    val chain = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).toSeq
+    assert(chain.exists(t => t.getMessage != null &&
+                          t.getMessage.contains("query value at position 23 is NaN")), e.toString)
+  }
 }

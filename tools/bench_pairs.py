@@ -14,8 +14,12 @@ only that directory. Each pair runs
 
 once in the base tree and once in the working tree, alternating which side
 runs first; seeds cycle over the pairs, and run_seconds comes from
-BENCHMARK.json. The summary goes to BENCH_<workload>.json at the repository
-root: per side, the median and quartiles of every end-to-end metric that
+BENCHMARK.json. The summary goes to --out, by default BENCH_<workload>.json
+at the repository root, the file that backs a claimed gain. A check that
+claims nothing (a workload the change should leave alone, or a trial run)
+passes a path outside the repository, e.g. --out /tmp/BENCH_<workload>.json,
+so that it does not overwrite the committed file of an earlier claim. Per side,
+the summary holds the median and quartiles of every end-to-end metric that
 BENCHMARK.json declares; per metric, the number of pairs the change wins
 (ties count for neither side) and whether the medians differ by more than
 the base's interquartile range; failed/attempted operation counts; every
@@ -124,6 +128,7 @@ def main():
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seeds", default="1", help="comma-separated; cycled over the pairs")
     ap.add_argument("--base", default="HEAD", help="revision the working tree is compared with")
+    ap.add_argument("--out", help="summary path (default BENCH_<workload>.json at the repository root)")
     args = ap.parse_args()
     if args.pairs <= 0:
         sys.exit("bench_pairs: --pairs must be positive")
@@ -195,7 +200,7 @@ def main():
         "metrics": summarize(spec, runs),
         "runs": runs,
     }
-    path = os.path.join(root, "BENCH_%s.json" % args.workload)
+    path = args.out or os.path.join(root, "BENCH_%s.json" % args.workload)
     with open(path, "w") as f:
         json.dump(report, f, indent=2)
         f.write("\n")
