@@ -76,11 +76,12 @@ object BreakdownBench {
     // to a triviality and let query prep (full-D, scale-independent)
     // dominate every row (see EXPERIMENTS.md, Table 7 notes).
     val floor = math.max(4, lists / 4)
+    val tuner = new PdxSearcher(k)
     val nprobe = Iterator(2, 4, 8, 12, 16, 24, 32, 48, 64, lists)
       .map(np => math.min(np, lists))
       .find { np =>
         val r = queries.indices.map { qi =>
-          VectorData.recall(rawIdx.searchLinear(queries(qi), k, np).map(_._1), gt(qi))
+          VectorData.recall(rawIdx.searchPdx(queries(qi), k, np, bond, tuner).map(_._1), gt(qi))
         }
         r.sum / r.length >= BenchConfig.breakdownTargetRecall
       }

@@ -62,6 +62,20 @@ object ExactSearchBench {
     }
   }
 
+  /** Horizontal scan with the unrolled ("SIMD") kernel, vector i of `data`
+    * at `i*d`: the FAISS / Milvus / USearch exact-scan stand-in.
+    */
+  def naryKnn(data: Array[Float], n: Int, d: Int, q: Array[Float], k: Int): KnnHeap = {
+    requireQueryDims(q, d)
+    val heap = new KnnHeap(k)
+    var i = 0
+    while (i < n) {
+      heap.push(i.toLong, Kernels.l2Unrolled(data, i * d, q, 0, d))
+      i += 1
+    }
+    heap
+  }
+
   /** Horizontal scan with the plain scalar kernel (the "vanilla" baseline). */
   def naryScalarKnn(data: Array[Float], n: Int, d: Int, q: Array[Float], k: Int): KnnHeap = {
     requireQueryDims(q, d)
@@ -135,8 +149,6 @@ object ExactSearchBench {
       val ids = vecs.indices.map(_.toLong)
       val queries = if (quick) ds.queries.take(5) else ds.queries
       val nary = PdxLayout.packNary(vecs)
-      val naryBucket = NaryBucket(ids.toArray, n, d, nary, PdxLayout.globalMeans(vecs),
-                                  Array.emptyFloatArray)
       val dsm = packDsm(vecs)
       val blocks64 = PdxLayout.pack(vecs, ids, 64)
       val bondBlocks = PdxLayout.pack(vecs, ids, math.max(256, n / 10))
@@ -146,7 +158,7 @@ object ExactSearchBench {
       val qpsOf = measureQps(queries, if (quick) 50_000_000L else 400_000_000L) _
 
       val qps = Map(
-        "nary" -> qpsOf(q => BenchUtil.consume(LinearScan.naryKnn(Iterator.single(naryBucket), q, k).threshold)),
+        "nary" -> qpsOf(q => BenchUtil.consume(naryKnn(nary, n, d, q, k).threshold)),
         "nary-scalar" -> qpsOf(q => BenchUtil.consume(naryScalarKnn(nary, n, d, q, k).threshold)),
         "dsm" -> qpsOf(q => BenchUtil.consume(dsmKnn(dsm, n, q, k).threshold)),
         "gather" -> qpsOf(q => BenchUtil.consume(gatherKnn(nary, n, d, q, k).threshold)),

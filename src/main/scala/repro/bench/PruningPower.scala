@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.core.{NaryBucket, NarySearcher, Pruner, SearchProfiler}
+import repro.core.{NaryBucket, NarySearcher, PdxLayout, Pruner, SearchProfiler}
 
 /** Pruning power for Tables 2 and 6, K = 10: the share of dimension values
   * that the vector-at-a-time search skips when it tests its bound after
@@ -20,8 +20,8 @@ object PruningPower {
   /** Per-query pruning power (fraction in [0,1]) over the collection. */
   def perQuery(vecsInSpace: IndexedSeq[Array[Float]], pruner: Pruner,
                rawQueries: IndexedSeq[Array[Float]]): IndexedSeq[Double] = {
-    val bucket = NaryBucket.pack(vecsInSpace, vecsInSpace.indices.map(_.toLong),
-                                 withSuffixNorms = pruner.needsSuffixNorms)
+    val bucket = NaryBucket(PdxLayout.packOne(vecsInSpace, vecsInSpace.indices.map(_.toLong),
+                                              pruner.d, pruner.needsSuffixNorms))
     rawQueries.map { raw =>
       val profiler = new SearchProfiler
       new NarySearcher(BenchConfig.K, deltaD = 1, profiler).search(Iterator.single(bucket), raw, pruner)

@@ -1,34 +1,22 @@
 package repro.core
 
-/** One IVF bucket (or partition) in the conventional horizontal layout:
-  * vector i occupies `data(i*d until (i+1)*d)`. `means` and `suffixSqNorms`
-  * mirror the PDX block metadata: per-dimension means (PDX-BOND's order) and,
-  * for BSA, `suffixSqNorms(i*(d+1)+j) = Σ_{t≥j} v_i(t)²`.
+/** One IVF bucket (or partition) in the conventional horizontal layout,
+  * derived from a PDX block: vector i occupies `data(i*d until (i+1)*d)`,
+  * the block's data transposed, and the only array the bucket owns. `ids`,
+  * `n`, `d`, `means` (PDX-BOND's order) and `suffixSqNorms` (BSA's bound,
+  * already laid out `i*(d+1)+j`) are the block's own, checked by the block.
   */
-final case class NaryBucket(ids: Array[Long], n: Int, d: Int, data: Array[Float],
-                            means: Array[Float], suffixSqNorms: Array[Float]) {
-  require(ids.length == n, s"ids ${ids.length} != n $n")
-  require(data.length == n * d, s"data ${data.length} != n*d ${n * d}")
-  require(means.length == d, s"means ${means.length} != d $d")
-  require(suffixSqNorms.isEmpty || suffixSqNorms.length == n * (d + 1),
-          s"suffix ${suffixSqNorms.length} != n*(d+1) ${n * (d + 1)}")
+final class NaryBucket private (block: PdxBlock) {
+  val ids: Array[Long] = block.ids
+  val n: Int = block.n
+  val d: Int = block.d
+  val means: Array[Float] = block.means
+  val suffixSqNorms: Array[Float] = block.suffixSqNorms
+  val data: Array[Float] = PdxLayout.packNary((0 until n).map(block.vectorAt))
 }
 
 object NaryBucket {
-  def pack(vecs: IndexedSeq[Array[Float]], ids: IndexedSeq[Long],
-           withSuffixNorms: Boolean = false): NaryBucket = {
-    require(vecs.nonEmpty, "cannot pack an N-ary bucket of 0 vectors")
-    val b = PdxLayout.packOne(vecs, ids, vecs.head.length, withSuffixNorms)
-    NaryBucket(b.ids, b.n, b.d, PdxLayout.packNary(vecs), b.means, b.suffixSqNorms)
-  }
-
-  /** The same vectors as `b` in horizontal layout: `b.data` transposed;
-    * ids, means and suffix norms (already laid out `i*(d+1)+j`) are shared.
-    */
-  def fromBlock(b: PdxBlock): NaryBucket = {
-    val data = PdxLayout.packNary((0 until b.n).map(b.vectorAt))
-    NaryBucket(b.ids, b.n, b.d, data, b.means, b.suffixSqNorms)
-  }
+  def apply(block: PdxBlock): NaryBucket = new NaryBucket(block)
 }
 
 /** The original ADSampling/BSA search strategy on horizontal storage:
@@ -41,10 +29,13 @@ object NaryBucket {
   * is storage order, summed by the unrolled kernel. The first k vectors
   * fill the heap with full distances.
   *
-  * Used as the N-ary side of Table 7 and the SIMD-ADS/BSA stand-in, and at
-  * Δd = 1 as the vector-at-a-time search whose pruning power Tables 2 and 6
-  * report ([[repro.bench.PruningPower]]). `profiler`, when not null, counts
-  * operations (see [[SearchProfiler]]); `IvfIndex.searchNary` adds to it.
+  * Used as the N-ary side of Table 7 and the SIMD-ADS/BSA stand-in, over
+  * buckets derived from the IVF index's PDX blocks (`IvfIndex.searchNary`,
+  * which picks them with the PDX centroid scan that `searchPdx` uses), and
+  * at Δd = 1 as the vector-at-a-time search whose pruning power Tables 2
+  * and 6 report ([[repro.bench.PruningPower]]). `profiler`, when not null,
+  * counts operations (see [[SearchProfiler]]); `IvfIndex.searchNary` adds
+  * to it.
   */
 final class NarySearcher(val k: Int, deltaD: Int, val profiler: SearchProfiler = null) {
   require(k > 0, s"k must be positive, got $k")
@@ -121,31 +112,14 @@ final class NarySearcher(val k: Int, deltaD: Int, val profiler: SearchProfiler =
   }
 }
 
-/** Exact linear scans over the two layouts the system stores — the
-  * unrolled horizontal scan (the FAISS / Milvus / USearch stand-in) and
-  * PDX-LINEAR-SCAN — and the query checks every search entry point shares.
-  * The other exact-search competitors (the scalar scan, DSM and N-ary+Gather
-  * of §7) live in [[repro.bench.ExactSearchBench]], which alone runs them.
+/** PDX-LINEAR-SCAN — the one exact scan the system runs, for linear search,
+  * PDXearch's START phase, IVF bucket selection and k-means assignment —
+  * and the query checks every search entry point shares. The exact-search
+  * competitors over other layouts (the horizontal unrolled and scalar
+  * scans, DSM and N-ary+Gather of §7) live in
+  * [[repro.bench.ExactSearchBench]], which alone runs them.
   */
 object LinearScan {
-
-  /** Horizontal scan with the unrolled ("SIMD") kernel: the one N-ary
-    * top-k scan, over whole buckets and keyed by the buckets' ids.
-    */
-  def naryKnn(buckets: IterableOnce[NaryBucket], q: Array[Float], k: Int): KnnHeap = {
-    val heap = new KnnHeap(k)
-    val it = buckets.iterator
-    while (it.hasNext) {
-      val b = it.next()
-      requireQueryDims(q, b.d)
-      var i = 0
-      while (i < b.n) {
-        heap.push(b.ids(i), Kernels.l2Unrolled(b.data, i * b.d, q, 0, b.d))
-        i += 1
-      }
-    }
-    heap
-  }
 
   /** Fails unless query `q` has the `d` dimensions of the vectors it is
     * scored against: the kernels read `d` query values, so a longer query

@@ -68,17 +68,19 @@ object PdxLayout {
   }
 
   /** Pack one group of vectors into a single block (bucket = block for IVF).
-    * Every vector must have `d` values, all finite: a NaN distance is never
-    * `> τ`, so a NaN vector would survive every pruning step and break the
-    * (distance, id) order of the answers. Both failures name the vector's id.
+    * The group must not be empty, and every vector must have `d` values, all
+    * finite: a NaN distance is never `> τ`, so a NaN vector would survive
+    * every pruning step and break the (distance, id) order of the answers.
+    * Both vector failures name the vector's id. The means are [[globalMeans]]
+    * of the group.
     */
   def packOne(group: Seq[Array[Float]], groupIds: Seq[Long], d: Int,
               withSuffixNorms: Boolean): PdxBlock = {
     val n = group.length
+    require(n > 0, "a PDX block cannot hold 0 vectors")
     val ids = groupIds.toArray
     val data = new Array[Float](n * d)
     val suffix = if (withSuffixNorms) new Array[Float](n * (d + 1)) else Array.emptyFloatArray
-    val meansD = new Array[Double](d)
     var i = 0
     group.foreach { v =>
       require(v.length == d, s"ragged vector: vector ${ids(i)} has ${v.length} dimensions but the block has $d")
@@ -87,16 +89,12 @@ object PdxLayout {
         val x = v(dim)
         require(java.lang.Float.isFinite(x), s"vector ${ids(i)} has the non-finite value $x at position $dim")
         data(dim * n + i) = x
-        meansD(dim) += x
         dim += 1
       }
       if (withSuffixNorms) suffixSqNorms(v, suffix, i * (d + 1))
       i += 1
     }
-    val means = new Array[Float](d)
-    var dim = 0
-    while (dim < d) { means(dim) = (meansD(dim) / n).toFloat; dim += 1 }
-    PdxBlock(ids, n, d, data, means, suffix)
+    PdxBlock(ids, n, d, data, globalMeans(group), suffix)
   }
 
   /** Suffix squared norms of `v` into `out(base until base + d + 1)`:
@@ -136,10 +134,11 @@ object PdxLayout {
     out
   }
 
-  /** Global per-dimension means of a collection (PDX-BOND exact-search
-    * ordering uses collection-level means when blocks are large partitions).
+  /** Per-dimension means of a collection: summed in double in the
+    * collection's order, divided by its size and stored float. The one means
+    * routine, behind every block's `means` and BSA's centering.
     */
-  def globalMeans(vecs: IndexedSeq[Array[Float]]): Array[Float] = {
+  def globalMeans(vecs: Seq[Array[Float]]): Array[Float] = {
     require(vecs.nonEmpty, "globalMeans of an empty collection")
     val d = vecs.head.length
     val acc = new Array[Double](d)

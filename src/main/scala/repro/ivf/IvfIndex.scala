@@ -23,9 +23,9 @@ object Ivf {
   * for ADSampling, PCA for BSA): buckets as PDX blocks (bucket == block, as
   * in Figure 2) and the centroids packed as a PDX block, so bucket selection
   * is the same PDX linear scan as the search (§6.4, Table 7 "Find Nearest
-  * Buckets"). The horizontal (N-ary) buckets and centroids for the N-ary
-  * searchers are derived from those on first use, so PDX-only users never
-  * build them.
+  * Buckets"). Every search, PDX or N-ary, picks its buckets with that one
+  * scan. The horizontal (N-ary) buckets for the N-ary searchers are derived
+  * from the blocks on first use, so PDX-only users never build them.
   *
   * Empty buckets are dropped, and so are their centroids: `centroidBlock`
   * holds only the live centroids, each with its centroid index as its id.
@@ -37,32 +37,27 @@ final class IvfIndex(
     val bucketOf: Array[Int]
 ) {
 
-  lazy val centroidBucket: NaryBucket = NaryBucket.fromBlock(centroidBlock)
-
-  lazy val naryBuckets: Array[NaryBucket] = blocks.map(NaryBucket.fromBlock)
+  lazy val naryBuckets: Array[NaryBucket] = blocks.map(NaryBucket(_))
 
   /** The `nprobe` live centroid indices nearest to the (search-space)
     * query, by (distance, index): a top-nprobe linear scan of the centroids.
     */
-  def nearestBuckets(query: Array[Float], nprobe: Int, usePdx: Boolean = true): Array[Int] = {
+  def nearestBuckets(query: Array[Float], nprobe: Int): Array[Int] = {
     require(nprobe > 0, s"nprobe must be positive, got $nprobe")
-    val heap =
-      if (usePdx) LinearScan.pdxKnn(Iterator.single(centroidBlock), query, nprobe)
-      else LinearScan.naryKnn(Iterator.single(centroidBucket), query, nprobe)
-    heap.idsSorted.map(_.toInt).toArray
+    LinearScan.pdxKnn(Iterator.single(centroidBlock), query, nprobe).idsSorted.map(_.toInt).toArray
   }
 
   /** Full IVF query with PDXearch. Returns sorted (id, distance) pairs. */
   def searchPdx(rawQuery: Array[Float], k: Int, nprobe: Int, pruner: Pruner,
                 searcher: PdxSearcher): IndexedSeq[(Long, Float)] =
-    search(rawQuery, k, nprobe, pruner, searcher.profiler, usePdx = true) { (probes, pq, heap) =>
+    search(rawQuery, k, nprobe, pruner, searcher.profiler) { (probes, pq, heap) =>
       searcher.searchPrepared(probes.map(c => blocks(bucketOf(c))), pq, heap)
     }
 
   /** Full IVF query with the horizontal (N-ary) pruned search. */
   def searchNary(rawQuery: Array[Float], k: Int, nprobe: Int, pruner: Pruner,
                  searcher: NarySearcher): IndexedSeq[(Long, Float)] =
-    search(rawQuery, k, nprobe, pruner, searcher.profiler, usePdx = false) { (probes, pq, heap) =>
+    search(rawQuery, k, nprobe, pruner, searcher.profiler) { (probes, pq, heap) =>
       searcher.searchPrepared(probes.map(c => naryBuckets(bucketOf(c))), pq, heap)
     }
 
@@ -72,27 +67,18 @@ final class IvfIndex(
     * reads no clock.
     */
   private def search(rawQuery: Array[Float], k: Int, nprobe: Int, pruner: Pruner,
-                     profiler: SearchProfiler, usePdx: Boolean)(
+                     profiler: SearchProfiler)(
       scan: (Iterator[Int], PreparedQuery, KnnHeap) => KnnHeap): IndexedSeq[(Long, Float)] = {
     LinearScan.requireFiniteQuery(rawQuery)
     val t0 = if (profiler ne null) System.nanoTime() else 0L
     val pq = pruner.prepareQuery(rawQuery)
     val t1 = if (profiler ne null) System.nanoTime() else 0L
-    val probes = nearestBuckets(pq.query, nprobe, usePdx)
+    val probes = nearestBuckets(pq.query, nprobe)
     if (profiler ne null) {
       profiler.prepNanos += t1 - t0
       profiler.bucketsNanos += System.nanoTime() - t1
     }
     scan(probes.iterator, pq, new KnnHeap(k)).sorted
-  }
-
-  /** Linear IVF bucket scan with the horizontal kernel — the FAISS/Milvus
-    * IVF_FLAT stand-in (no dimension pruning).
-    */
-  def searchLinear(query: Array[Float], k: Int, nprobe: Int): IndexedSeq[(Long, Float)] = {
-    LinearScan.requireFiniteQuery(query)
-    val probes = nearestBuckets(query, nprobe, usePdx = false)
-    LinearScan.naryKnn(probes.iterator.map(c => naryBuckets(bucketOf(c))), query, k).sorted
   }
 }
 

@@ -1,6 +1,6 @@
 package repro.prune
 
-import repro.core.{PreparedQuery, Pruner}
+import repro.core.{LinearScan, PreparedQuery, Pruner}
 
 /** PDX-BOND (§5): exact dimension pruning on raw vectors.
   *
@@ -30,6 +30,7 @@ final class Bond(val d: Int, val criteria: Bond.Criteria = Bond.DistanceToMeans)
   val name = s"PDX-BOND(${criteria.label})"
 
   def prepareQuery(q: Array[Float]): PreparedQuery = new PreparedQuery {
+    LinearScan.requireQueryDims(q, d)
     val query: Array[Float] = q
 
     override def isPartialBound: Boolean = true

@@ -2,7 +2,7 @@ package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
-import repro.core.{NaryBucket, NarySearcher, TestPruners}
+import repro.core.{NaryBucket, NarySearcher, PdxLayout, TestPruners}
 import repro.data.VectorData
 import repro.prune.{AdSampling, Bond, Bsa}
 
@@ -40,7 +40,7 @@ class PruningPowerSpec extends AnyFunSuite {
     val space = bsa.transformData(ds.vectors)
     val power = PruningPower.perQuery(space, bsa, ds.queries)
     assert(power.forall(p => p >= 0.0 && p < 1.0), power)
-    val bucket = NaryBucket.pack(space, ds.ids, withSuffixNorms = true)
+    val bucket = NaryBucket(PdxLayout.packOne(space, ds.ids, 24, withSuffixNorms = true))
     ds.queries.foreach { q =>
       val heap = new NarySearcher(10, deltaD = 1).search(Seq(bucket), q, bsa)
       TestUtil.assertExactKnn(heap.sorted, ds.vectors, q, 10)
@@ -67,7 +67,7 @@ class PruningPowerSpec extends AnyFunSuite {
 
   test("the Δd = 1 PDX-BOND search behind the pruning power is exact") {
     val ds = clustered(400, 24, seed = 6)
-    val bucket = NaryBucket.pack(ds.vectors, ds.ids)
+    val bucket = NaryBucket(PdxLayout.packOne(ds.vectors, ds.ids, 24, withSuffixNorms = false))
     ds.queries.foreach { q =>
       val heap = new NarySearcher(10, deltaD = 1).search(Seq(bucket), q, new Bond(24, Bond.DistanceToMeans))
       TestUtil.assertExactKnn(heap.sorted, ds.vectors, q, 10)

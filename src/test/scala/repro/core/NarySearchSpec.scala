@@ -11,49 +11,18 @@ class NarySearchSpec extends AnyFunSuite {
   private def clustered(n: Int, d: Int, seed: Long, skewed: Boolean = false) =
     VectorData.generate(VectorData.DatasetSpec("t", d, n, 6, skewed, clusters = 8, seed = seed))
 
-  test("NaryBucket.pack stores vectors contiguously with correct suffix norms") {
+  /** The vectors as one N-ary bucket, built the one way: from their PDX block. */
+  private def naryBucket(vecs: IndexedSeq[Array[Float]], ids: IndexedSeq[Long],
+                         withSuffixNorms: Boolean = false): NaryBucket =
+    NaryBucket(PdxLayout.packOne(vecs, ids, vecs.head.length, withSuffixNorms))
+
+  test("NaryBucket(block) stores vectors contiguously and shares the block's metadata") {
     val vecs = VectorData.gaussian(5, 7, seed = 3)
-    val b = NaryBucket.pack(vecs, vecs.indices.map(_.toLong), withSuffixNorms = true)
+    val block = PdxLayout.packOne(vecs, vecs.indices.map(_.toLong * 3), 7, withSuffixNorms = true)
+    val b = NaryBucket(block)
     assert(b.n == 5 && b.d == 7)
-    vecs.indices.foreach { i =>
-      assert(b.data.slice(i * 7, (i + 1) * 7).toSeq == vecs(i).toSeq)
-      val expect = vecs(i).map(x => x.toDouble * x).sum
-      assert(math.abs(b.suffixSqNorms(i * 8) - expect) < 1e-4 * (1 + expect))
-      assert(b.suffixSqNorms(i * 8 + 7) == 0f)
-    }
-  }
-
-  test("NaryBucket rejects ids or data of the wrong length, naming both lengths") {
-    val e1 = intercept[IllegalArgumentException] {
-      NaryBucket(Array(1L), 2, 3, new Array[Float](6), new Array[Float](3), Array.emptyFloatArray)
-    }
-    assert(e1.getMessage.contains("ids 1 != n 2"))
-    val e2 = intercept[IllegalArgumentException] {
-      NaryBucket(Array(1L, 2L), 2, 3, new Array[Float](5), new Array[Float](3), Array.emptyFloatArray)
-    }
-    assert(e2.getMessage.contains("data 5 != n*d 6"))
-  }
-
-  test("NaryBucket rejects means of the wrong length, and fromBlock shares the block's means") {
-    val e = intercept[IllegalArgumentException] {
-      NaryBucket(Array(1L, 2L), 2, 3, new Array[Float](6), new Array[Float](2), Array.emptyFloatArray)
-    }
-    assert(e.getMessage.contains("means 2 != d 3"))
-    val vecs = VectorData.gaussian(9, 5, seed = 4)
-    val block = PdxLayout.packOne(vecs, vecs.indices.map(_.toLong), 5, withSuffixNorms = false)
-    assert(NaryBucket.fromBlock(block).means eq block.means)
-  }
-
-  test("NaryBucket rejects suffix norms of the wrong length, naming both lengths") {
-    val e = intercept[IllegalArgumentException] {
-      NaryBucket(Array(1L, 2L), 2, 3, new Array[Float](6), new Array[Float](3), new Array[Float](7))
-    }
-    assert(e.getMessage.contains("suffix 7 != n*(d+1) 8"))
-  }
-
-  test("NaryBucket.pack rejects an empty collection with a message") {
-    val e = intercept[IllegalArgumentException](NaryBucket.pack(IndexedSeq.empty, IndexedSeq.empty))
-    assert(e.getMessage.contains("cannot pack an N-ary bucket of 0 vectors"))
+    vecs.indices.foreach(i => assert(b.data.slice(i * 7, (i + 1) * 7).toSeq == vecs(i).toSeq))
+    assert((b.ids eq block.ids) && (b.means eq block.means) && (b.suffixSqNorms eq block.suffixSqNorms))
   }
 
   test("NarySearcher rejects a non-positive k") {
@@ -67,8 +36,8 @@ class NarySearchSpec extends AnyFunSuite {
     test(s"NarySearcher + PartialDistance is exact (deltaD=$deltaD)") {
       val ds = clustered(600, d, seed = 5)
       val buckets = Seq(
-        NaryBucket.pack(ds.vectors.take(300), ds.ids.take(300)),
-        NaryBucket.pack(ds.vectors.drop(300), ds.ids.drop(300))
+        naryBucket(ds.vectors.take(300), ds.ids.take(300)),
+        naryBucket(ds.vectors.drop(300), ds.ids.drop(300))
       )
       val searcher = new NarySearcher(10, deltaD)
       ds.queries.foreach { q =>
@@ -83,7 +52,7 @@ class NarySearchSpec extends AnyFunSuite {
     val ds = clustered(500, d, seed = 7, skewed = true)
     val bsa = Bsa.fitExact(ds.vectors)
     val space = bsa.transformData(ds.vectors)
-    val bucket = NaryBucket.pack(space, ds.ids, withSuffixNorms = true)
+    val bucket = naryBucket(space, ds.ids, withSuffixNorms = true)
     val searcher = new NarySearcher(10, deltaD = d / 4)
     ds.queries.foreach { q =>
       val heap = searcher.search(Seq(bucket), q, bsa)
@@ -96,7 +65,7 @@ class NarySearchSpec extends AnyFunSuite {
     val ds = clustered(1500, d, seed = 9)
     val ads = new AdSampling(d, seed = 11)
     val space = ads.transformData(ds.vectors)
-    val bucket = NaryBucket.pack(space, ds.ids)
+    val bucket = naryBucket(space, ds.ids)
     val gt = VectorData.groundTruth(ds.vectors, ds.queries, 10)
     val searcher = new NarySearcher(10, deltaD = d / 4)
     val recalls = ds.queries.indices.map { qi =>
@@ -108,7 +77,7 @@ class NarySearchSpec extends AnyFunSuite {
   test("NarySearcher and PdxSearcher agree under the same exact pruner") {
     val d = 24
     val ds = clustered(400, d, seed = 13)
-    val nb = NaryBucket.pack(ds.vectors, ds.ids)
+    val nb = naryBucket(ds.vectors, ds.ids)
     val pb = PdxLayout.pack(ds.vectors, ds.ids, 64)
     val q = ds.queries.head
     val a = new NarySearcher(10, deltaD = d / 4).search(Seq(nb), q, TestPruners.PartialDistance(d)).idsSorted
@@ -121,7 +90,7 @@ class NarySearchSpec extends AnyFunSuite {
     val ds = clustered(800, d, seed = 15)
     val prof = new SearchProfiler
     val searcher = new NarySearcher(10, deltaD = d / 4, prof)
-    val bucket = NaryBucket.pack(ds.vectors, ds.ids)
+    val bucket = naryBucket(ds.vectors, ds.ids)
     searcher.search(Seq(bucket), ds.queries.head, TestPruners.PartialDistance(d))
     assert(prof.dimValuesScanned > 0 && prof.dimValuesScanned <= 800L * d)
     assert(prof.distanceNanos > 0)
@@ -131,8 +100,8 @@ class NarySearchSpec extends AnyFunSuite {
     val d = 32
     val ds = clustered(600, d, seed = 19, skewed = true)
     val buckets = Seq(
-      NaryBucket.pack(ds.vectors.take(250), ds.ids.take(250)),
-      NaryBucket.pack(ds.vectors.drop(250), ds.ids.drop(250))
+      naryBucket(ds.vectors.take(250), ds.ids.take(250)),
+      naryBucket(ds.vectors.drop(250), ds.ids.drop(250))
     )
     for (criteria <- Seq(Bond.Sequential, Bond.Decreasing, Bond.DistanceToMeans, Bond.DimensionZones);
          deltaD <- Seq(1, 8); q <- ds.queries) {
@@ -149,8 +118,8 @@ class NarySearchSpec extends AnyFunSuite {
     // it is pruned after one dimension, in storage order only after all four.
     val d = 4
     val buckets = Seq(
-      NaryBucket.pack(IndexedSeq(new Array[Float](d)), IndexedSeq(0L)),
-      NaryBucket.pack(IndexedSeq(Array(0f, 0f, 0f, 5f)), IndexedSeq(1L)))
+      naryBucket(IndexedSeq(new Array[Float](d)), IndexedSeq(0L)),
+      naryBucket(IndexedSeq(Array(0f, 0f, 0f, 5f)), IndexedSeq(1L)))
     var orderCalls = 0
     var askedWith: Array[Float] = null
     val probe = new Pruner {
@@ -182,10 +151,8 @@ class NarySearchSpec extends AnyFunSuite {
     val nary = PdxLayout.packNary(ds.vectors)
     val dsm = ExactSearchBench.packDsm(ds.vectors)
     val blocks = PdxLayout.pack(ds.vectors, ds.ids, 64)
-    val bucket = NaryBucket(ds.ids.toArray, 500, d, nary, PdxLayout.globalMeans(ds.vectors),
-                            Array.emptyFloatArray)
     ds.queries.foreach { q =>
-      TestUtil.assertExactKnn(LinearScan.naryKnn(Seq(bucket), q, 10).sorted, ds.vectors, q, 10)
+      TestUtil.assertExactKnn(ExactSearchBench.naryKnn(nary, 500, d, q, 10).sorted, ds.vectors, q, 10)
       TestUtil.assertExactKnn(ExactSearchBench.naryScalarKnn(nary, 500, d, q, 10).sorted, ds.vectors, q, 10)
       TestUtil.assertExactKnn(ExactSearchBench.dsmKnn(dsm, 500, q, 10).sorted, ds.vectors, q, 10)
       TestUtil.assertExactKnn(LinearScan.pdxKnn(blocks, q, 10).sorted, ds.vectors, q, 10)
@@ -201,6 +168,7 @@ class NarySearchSpec extends AnyFunSuite {
     for (len <- Seq(d - 1, d + 1)) {
       val q = VectorData.gaussian(1, len, seed = len.toLong).head
       val calls = Seq[() => Any](
+        () => ExactSearchBench.naryKnn(nary, 70, d, q, 10),
         () => ExactSearchBench.naryScalarKnn(nary, 70, d, q, 10),
         () => ExactSearchBench.dsmKnn(dsm, 70, q, 10),
         () => ExactSearchBench.gatherKnn(nary, 70, d, q, 10))

@@ -3,8 +3,9 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.Gen
 import repro.TestUtil.forAllSampled
-import repro.bench.ExactSearchBench
+import repro.bench.{ExactSearchBench, PruningPower}
 import repro.data.VectorData
+import repro.prune.Bond
 
 class PdxLayoutSpec extends AnyFunSuite {
 
@@ -45,6 +46,18 @@ class PdxLayoutSpec extends AnyFunSuite {
       bad(5) = x
       val e = intercept[IllegalArgumentException](PdxLayout.pack(vecs.updated(17, bad), ids, bs))
       assert(e.getMessage.contains(s"vector 119 has the non-finite value $x at position 5"), e.getMessage)
+    }
+  }
+
+  test("packOne rejects an empty group: a block cannot hold 0 vectors") {
+    val calls = Seq[() => Any](
+      () => PdxLayout.packOne(IndexedSeq.empty, IndexedSeq.empty, 4, withSuffixNorms = false),
+      () => PdxLayout.packOne(IndexedSeq.empty, IndexedSeq.empty, 4, withSuffixNorms = true),
+      // Tables 2 and 6 pack their collection through packOne.
+      () => PruningPower.perQuery(IndexedSeq.empty, new Bond(4), VectorData.gaussian(2, 4, seed = 7)))
+    calls.foreach { call =>
+      val e = intercept[IllegalArgumentException](call())
+      assert(e.getMessage.contains("a PDX block cannot hold 0 vectors"), e.getMessage)
     }
   }
 
@@ -155,11 +168,20 @@ class PdxLayoutSpec extends AnyFunSuite {
   }
 
   test("PdxBlock validates shapes") {
-    intercept[IllegalArgumentException] {
-      PdxBlock(Array(0L), 1, 2, Array(1f), Array(1f, 2f), Array.emptyFloatArray)
-    }
-    intercept[IllegalArgumentException] {
-      PdxBlock(Array(0L, 1L), 1, 1, Array(1f), Array(1f), Array.emptyFloatArray)
+    // Each message names both lengths; NaryBucket takes these fields from
+    // the block, so these are its checks too.
+    val cases = Seq(
+      "ids 1 != n 2" -> (() => PdxBlock(Array(1L), 2, 3, new Array[Float](6), new Array[Float](3),
+                                        Array.emptyFloatArray)),
+      "data 5 != n*d 6" -> (() => PdxBlock(Array(1L, 2L), 2, 3, new Array[Float](5), new Array[Float](3),
+                                           Array.emptyFloatArray)),
+      "means 2 != d 3" -> (() => PdxBlock(Array(1L, 2L), 2, 3, new Array[Float](6), new Array[Float](2),
+                                          Array.emptyFloatArray)),
+      "suffix 7 != n*(d+1) 8" -> (() => PdxBlock(Array(1L, 2L), 2, 3, new Array[Float](6),
+                                                 new Array[Float](3), new Array[Float](7))))
+    for ((message, build) <- cases) {
+      val e = intercept[IllegalArgumentException](build())
+      assert(e.getMessage.contains(message), e.getMessage)
     }
   }
 }

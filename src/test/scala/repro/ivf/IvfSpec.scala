@@ -174,18 +174,6 @@ class IvfSpec extends AnyFunSuite {
     }
   }
 
-  test("nearestBuckets orders buckets by centroid distance (pdx == nary path)") {
-    val ds = clustered(300, 8, seed = 27)
-    val part = Ivf.partition(ds.vectors, nlist = 12)
-    val idx = IvfIndex.materialize(part, ds.vectors, ds.ids, part.rawCentroids, withSuffixNorms = false)
-    val q = ds.queries.head
-    val a = idx.nearestBuckets(q, 5, usePdx = true).toSeq
-    val b = idx.nearestBuckets(q, 5, usePdx = false).toSeq
-    assert(a == b)
-    val dists = a.map(c => Kernels.l2Ref(part.rawCentroids(c), q))
-    assert(dists == dists.sorted)
-  }
-
   test("nearestBuckets orders live buckets by (distance, index), ties and empty buckets included") {
     // 7 centroids at d = 5: 1 and 3 are identical (an exact distance tie);
     // buckets 4 and 5 are empty, and some queries below sit on their centroids.
@@ -205,24 +193,21 @@ class IvfSpec extends AnyFunSuite {
     // by (distance, index), drop the empty buckets, take nprobe.
     val allPdx = PdxLayout.packOne(centroids.toIndexedSeq, (0 until nlist).map(_.toLong), d,
                                    withSuffixNorms = false)
-    val allNary = PdxLayout.packNary(centroids.toIndexedSeq)
-    def expected(q: Array[Float], nprobe: Int, usePdx: Boolean): Seq[Int] = {
+    def expected(q: Array[Float], nprobe: Int): Seq[Int] = {
       val dists = new Array[Float](nlist)
-      if (usePdx) LinearScan.scoreBlock(allPdx, q, dists)
-      else (0 until nlist).foreach(c => dists(c) = Kernels.l2Unrolled(allNary, c * d, q, 0, d))
+      LinearScan.scoreBlock(allPdx, q, dists)
       (0 until nlist).sortBy(c => (dists(c), c)).filter(idx.bucketOf(_) >= 0).take(nprobe)
     }
 
     val queries = Seq(centroids(1), centroids(4), centroids(5),
                       centroids(4).zip(centroids(1)).map { case (a, b) => (a + b) / 2 }) ++
       VectorData.gaussian(6, d, seed = 49)
-    for (q <- queries; nprobe <- Seq(1, 2, liveBuckets.length, nlist + 3); usePdx <- Seq(true, false)) {
-      val got = idx.nearestBuckets(q, nprobe, usePdx).toSeq
-      assert(got == expected(q, nprobe, usePdx), s"nprobe=$nprobe usePdx=$usePdx q=${q.toSeq}")
+    for (q <- queries; nprobe <- Seq(1, 2, liveBuckets.length, nlist + 3)) {
+      val got = idx.nearestBuckets(q, nprobe).toSeq
+      assert(got == expected(q, nprobe), s"nprobe=$nprobe q=${q.toSeq}")
     }
     // The tie itself: a query on centroids 1 and 3 picks 1 first, then 3.
-    for (usePdx <- Seq(true, false))
-      assert(idx.nearestBuckets(centroids(1), 2, usePdx).toSeq == Seq(1, 3))
+    assert(idx.nearestBuckets(centroids(1), 2).toSeq == Seq(1, 3))
   }
 
   test("nearestBuckets and the IVF searches reject a non-positive nprobe") {
@@ -233,11 +218,9 @@ class IvfSpec extends AnyFunSuite {
     val q = ds.queries.head
     for (nprobe <- Seq(0, -1)) {
       val calls = Seq[() => Any](
-        () => idx.nearestBuckets(q, nprobe, usePdx = true),
-        () => idx.nearestBuckets(q, nprobe, usePdx = false),
+        () => idx.nearestBuckets(q, nprobe),
         () => idx.searchPdx(q, 10, nprobe, bond, new PdxSearcher(10)),
-        () => idx.searchNary(q, 10, nprobe, bond, new NarySearcher(10, deltaD = 2)),
-        () => idx.searchLinear(q, 10, nprobe))
+        () => idx.searchNary(q, 10, nprobe, bond, new NarySearcher(10, deltaD = 2)))
       calls.foreach { call =>
         val e = intercept[IllegalArgumentException](call())
         assert(e.getMessage.contains(s"nprobe must be positive, got $nprobe"))
@@ -246,16 +229,6 @@ class IvfSpec extends AnyFunSuite {
   }
 
   // ---------------- IVF search ----------------
-
-  test("searchLinear with nprobe == nlist is exact") {
-    val ds = clustered(500, 16, seed = 29)
-    val part = Ivf.partition(ds.vectors, nlist = 10)
-    val idx = IvfIndex.materialize(part, ds.vectors, ds.ids, part.rawCentroids, withSuffixNorms = false)
-    ds.queries.foreach { q =>
-      val res = idx.searchLinear(q, 10, nprobe = 10)
-      TestUtil.assertExactKnn(res, ds.vectors, q, 10)
-    }
-  }
 
   test("searchPdx with BOND and nprobe == nlist is exact") {
     val d = 24
@@ -276,9 +249,10 @@ class IvfSpec extends AnyFunSuite {
     val part = Ivf.partition(ds.vectors, nlist = 20)
     val idx = IvfIndex.materialize(part, ds.vectors, ds.ids, part.rawCentroids, withSuffixNorms = false)
     val gt = VectorData.groundTruth(ds.vectors, ds.queries, 10)
+    val (bond, searcher) = (new Bond(d, Bond.DistanceToMeans), new PdxSearcher(10)) // exact
     def avgRecall(np: Int): Double = {
       val rs = ds.queries.indices.map { qi =>
-        VectorData.recall(idx.searchLinear(ds.queries(qi), 10, np).map(_._1), gt(qi))
+        VectorData.recall(idx.searchPdx(ds.queries(qi), 10, np, bond, searcher).map(_._1), gt(qi))
       }
       rs.sum / rs.length
     }
@@ -352,14 +326,14 @@ class IvfSpec extends AnyFunSuite {
       val pdx = adsIdx.searchPdx(q, 10, nprobe, ads, pdxTimed)
       assert(pdx == adsIdx.searchPdx(q, 10, nprobe, ads, pdxPlain))
       val adsQ = ads.prepareQuery(q)
-      val pdxProbes = adsIdx.nearestBuckets(adsQ.query, nprobe, usePdx = true)
+      val pdxProbes = adsIdx.nearestBuckets(adsQ.query, nprobe)
       pdxByHand.searchPrepared(pdxProbes.iterator.map(c => adsIdx.blocks(adsIdx.bucketOf(c))),
                                adsQ, new KnnHeap(10))
 
       val nary = bsaIdx.searchNary(q, 10, nprobe, bsa, naryTimed)
       assert(nary == bsaIdx.searchNary(q, 10, nprobe, bsa, naryPlain))
       val bsaQ = bsa.prepareQuery(q)
-      val naryProbes = bsaIdx.nearestBuckets(bsaQ.query, nprobe, usePdx = false)
+      val naryProbes = bsaIdx.nearestBuckets(bsaQ.query, nprobe)
       naryByHand.searchPrepared(naryProbes.iterator.map(c => bsaIdx.naryBuckets(bsaIdx.bucketOf(c))),
                                 bsaQ, new KnnHeap(10))
     }
@@ -383,7 +357,6 @@ class IvfSpec extends AnyFunSuite {
       val pruner = TestPruners.PartialDistance(len)
       val calls = Seq[() => Any](
         () => idx.searchNary(q, 10, 4, pruner, searcher),
-        () => idx.searchLinear(q, 10, 4),
         () => searcher.search(idx.naryBuckets.toSeq, q, pruner))
       calls.foreach { call =>
         val e = intercept[IllegalArgumentException](call())
@@ -412,8 +385,7 @@ class IvfSpec extends AnyFunSuite {
         "PdxSearcher.search" -> (() => pdx.search(blocks, q, ads)),
         "NarySearcher.search" -> (() => nary.search(idx.naryBuckets.toSeq, q, ads)),
         "IvfIndex.searchPdx" -> (() => idx.searchPdx(q, 10, 4, ads, pdx)),
-        "IvfIndex.searchNary" -> (() => idx.searchNary(q, 10, 4, ads, nary)),
-        "IvfIndex.searchLinear" -> (() => idx.searchLinear(q, 10, 4)))
+        "IvfIndex.searchNary" -> (() => idx.searchNary(q, 10, 4, ads, nary)))
       for ((name, call) <- calls) {
         val e = intercept[IllegalArgumentException](call())
         assert(e.getMessage.contains(s"query value at position $pos is $bad"), s"$name: ${e.getMessage}")

@@ -2,7 +2,7 @@ package repro.prune
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
-import repro.core.{Kernels, PdxLayout, Pruner, TestPruners}
+import repro.core.{Kernels, NaryBucket, NarySearcher, PdxLayout, PdxSearcher, Pruner, TestPruners}
 import repro.data.VectorData
 import repro.linalg.TestMats
 
@@ -385,6 +385,22 @@ class PrunerSpec extends AnyFunSuite {
     assert(b.prepareQuery(new Array[Float](4)).isPartialBound && !b.needsSuffixNorms)
     val vecs = VectorData.gaussian(2, 4, seed = 33)
     assert(b.transformData(vecs) eq vecs)
+  }
+
+  test("Bond of another d than the data rejects the query through both searchers, naming both lengths") {
+    val vecs = VectorData.gaussian(100, 32, seed = 34)
+    val blocks = PdxLayout.pack(vecs, vecs.indices.map(_.toLong), 64)
+    val buckets = blocks.map(NaryBucket(_))
+    val q = VectorData.gaussian(1, 32, seed = 35).head
+    for (d <- Seq(16, 64)) {
+      val calls = Seq[() => Any](
+        () => new PdxSearcher(10).search(blocks, q, new Bond(d)),
+        () => new NarySearcher(10, deltaD = 8).search(buckets, q, new Bond(d)))
+      calls.foreach { call =>
+        val e = intercept[IllegalArgumentException](call())
+        assert(e.getMessage.contains(s"query has 32 dimensions but the block has $d"), e.getMessage)
+      }
+    }
   }
 
   // ---------------- test pruners ----------------

@@ -23,11 +23,15 @@ the summary holds the median and quartiles of every end-to-end metric that
 BENCHMARK.json declares; per metric, the number of pairs the change wins
 (ties count for neither side) and whether the medians differ by more than
 the base's interquartile range; failed/attempted operation counts; every
-run's values; the seeds, the host and the exact command, with the base
-resolved to its commit so that the file can be regenerated from it. The
-change side is named by its commit and, when the working tree has uncommitted
-changes, by a SHA-256 as well: of `git diff HEAD`, followed by the path and
-contents of every untracked file that .gitignore does not exclude.
+run's values, exit code and answer check ("correct"); the seeds, the host
+and the exact command, with the base resolved to its commit so that the
+file can be regenerated from it. Only pairs whose two runs both exited 0
+enter the medians and the win counts, since perfbench prints its metrics
+even when its answer check fails and then exits 1; the other pairs are
+listed under "excluded_pairs" and on stderr. The change side is named by its
+commit and, when the working tree has uncommitted changes, by a SHA-256 as
+well: of `git diff HEAD`, followed by the path and contents of every
+untracked file that .gitignore does not exclude.
 perfbench's own log lines go to stderr.
 """
 
@@ -68,6 +72,7 @@ def run_once(tree, workload, seed, seconds):
     return {
         "seed": seed,
         "exit_code": proc.returncode,
+        "correct": result.get("correct") if result else None,
         "wall_s": round(time.time() - t0, 1),
         "attempted": result["attempted"] if result else 0,
         "failed": result["failed"] if result else 0,
@@ -91,8 +96,15 @@ def host_info():
             "os": platform.platform(), "python": platform.python_version()}
 
 
+def both_exited_0(pair):
+    """perfbench prints its metrics even when its answer check fails, then
+    exits 1: a run counts only when it exited 0, and a pair when both did."""
+    return pair["base"]["exit_code"] == 0 and pair["change"]["exit_code"] == 0
+
+
 def summarize(spec, runs):
-    """Per-metric medians, quartiles and pair wins from the paired runs."""
+    """Per-metric medians, quartiles and pair wins from the counted pairs."""
+    runs = [p for p in runs if both_exited_0(p)]
     out = {}
     for m in spec["end_to_end"]:
         name, higher = m["name"], m["better"] == "higher"
@@ -198,6 +210,10 @@ def main():
         "run_command": "python3 perfbench/run.py --workload %s --seed S --seconds %s --trace 0"
                        % (args.workload, seconds),
         "metrics": summarize(spec, runs),
+        "excluded_pairs": [{"pair": p["pair"], "seed": p["seed"],
+                            **{side: {"exit_code": p[side]["exit_code"], "correct": p[side]["correct"]}
+                               for side in ("base", "change")}}
+                           for p in runs if not both_exited_0(p)],
         "runs": runs,
     }
     path = args.out or os.path.join(root, "BENCH_%s.json" % args.workload)
@@ -205,6 +221,10 @@ def main():
         json.dump(report, f, indent=2)
         f.write("\n")
     print("[bench_pairs] wrote %s" % path, file=sys.stderr)
+    for p in report["excluded_pairs"]:
+        print("  excluded pair %d (seed %d): %s" % (p["pair"], p["seed"], ", ".join(
+            "%s exit %d correct %s" % (side, p[side]["exit_code"], p[side]["correct"])
+            for side in ("base", "change"))), file=sys.stderr)
     for name, m in report["metrics"].items():
         if m.get("pairs"):
             print("  %-28s base %12.6g  change %12.6g  change wins %d/%d"
