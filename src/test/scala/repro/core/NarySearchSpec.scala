@@ -25,6 +25,37 @@ class NarySearchSpec extends AnyFunSuite {
     assert((b.ids eq block.ids) && (b.means eq block.means) && (b.suffixSqNorms eq block.suffixSqNorms))
   }
 
+  // A bucket's shape is checked by the block it is built from, so a bucket
+  // of the wrong shape cannot be built and the message names both lengths.
+  test("NaryBucket rejects ids or data of the wrong length, naming both lengths") {
+    val e1 = intercept[IllegalArgumentException] {
+      NaryBucket(PdxBlock(Array(1L), 2, 3, new Array[Float](6), new Array[Float](3), Array.emptyFloatArray))
+    }
+    assert(e1.getMessage.contains("ids 1 != n 2"))
+    val e2 = intercept[IllegalArgumentException] {
+      NaryBucket(PdxBlock(Array(1L, 2L), 2, 3, new Array[Float](5), new Array[Float](3), Array.emptyFloatArray))
+    }
+    assert(e2.getMessage.contains("data 5 != n*d 6"))
+  }
+
+  // The block-sharing builder, once NaryBucket.fromBlock, is NaryBucket(block).
+  test("NaryBucket rejects means of the wrong length, and fromBlock shares the block's means") {
+    val e = intercept[IllegalArgumentException] {
+      NaryBucket(PdxBlock(Array(1L, 2L), 2, 3, new Array[Float](6), new Array[Float](2), Array.emptyFloatArray))
+    }
+    assert(e.getMessage.contains("means 2 != d 3"))
+    val vecs = VectorData.gaussian(9, 5, seed = 4)
+    val block = PdxLayout.packOne(vecs, vecs.indices.map(_.toLong), 5, withSuffixNorms = false)
+    assert(NaryBucket(block).means eq block.means)
+  }
+
+  test("NaryBucket rejects suffix norms of the wrong length, naming both lengths") {
+    val e = intercept[IllegalArgumentException] {
+      NaryBucket(PdxBlock(Array(1L, 2L), 2, 3, new Array[Float](6), new Array[Float](3), new Array[Float](7)))
+    }
+    assert(e.getMessage.contains("suffix 7 != n*(d+1) 8"))
+  }
+
   test("NarySearcher rejects a non-positive k") {
     for (k <- Seq(0, -1)) {
       val e = intercept[IllegalArgumentException](new NarySearcher(k, deltaD = 1))
