@@ -8,7 +8,7 @@ import org.scalatest.funsuite.AnyFunSuite
 class Table2BenchSpec extends AnyFunSuite {
 
   test("Table 2: ADSampling pruning power") {
-    val (table, cells) = PruningTables.table2(BenchConfig.pruningCatalog)
+    val (table, cells) = PruningPower.table2(BenchConfig.pruningCatalog)
     BenchUtil.report("table2_adsampling_pruning", table)
 
     // Shape assertions (loose): pruning exists everywhere, high-D prunes

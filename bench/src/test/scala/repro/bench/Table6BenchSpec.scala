@@ -6,7 +6,7 @@ import org.scalatest.funsuite.AnyFunSuite
 class Table6BenchSpec extends AnyFunSuite {
 
   test("Table 6: PDX-BOND pruning power") {
-    val (table, cells) = PruningTables.table6(BenchConfig.pruningCatalog)
+    val (table, cells) = PruningPower.table6(BenchConfig.pruningCatalog)
     BenchUtil.report("table6_bond_pruning", table)
 
     cells.foreach { case (label, s) =>
@@ -16,8 +16,8 @@ class Table6BenchSpec extends AnyFunSuite {
   }
 
   test("PDX-BOND pruning power is below ADSampling's on most datasets (paper shape)") {
-    val (_, bond) = PruningTables.table6(BenchConfig.pruningCatalog)
-    val (_, ads) = PruningTables.table2(BenchConfig.pruningCatalog)
+    val (_, bond) = PruningPower.table6(BenchConfig.pruningCatalog)
+    val (_, ads) = PruningPower.table2(BenchConfig.pruningCatalog)
     val below = bond.keys.count(label => bond(label).p50 <= ads(label).p50 + 5.0)
     assert(below >= bond.size / 2, s"BOND beats ADS p50 on ${bond.size - below}/${bond.size} datasets")
   }

@@ -13,12 +13,12 @@ import repro.prune.Bond
   * target recall.
   *
   * Every query runs `IvfIndex.searchPdx` or `searchNary`, which time query
-  * prep and bucket selection into the searcher's profiler; PDXearch phases
-  * are timed directly (batched loops). The N-ary searchers
-  * interleave per-vector bound checks too fine-grained to time, so their
-  * scan time is split using a calibrated per-evaluation bound cost
-  * (DESIGN.md, substitution #5). Residual time (heap ops, dispatch) is
-  * folded into Distance Calculation, as the paper's four components are.
+  * prep and bucket selection into the searcher's profiler. Bounds are
+  * PDXearch's timed bound loops; the N-ary searchers interleave per-vector
+  * bound checks too fine-grained to time, so theirs are `boundEvals` × the
+  * median of one calibrated unit cost per measured pass (DESIGN.md,
+  * substitution #5). Distance Calculation is the rest of the pass,
+  * `max(0, pass − prep − buckets − bounds)`, heap ops and dispatch included.
   */
 object BreakdownBench {
 
@@ -99,9 +99,9 @@ object BreakdownBench {
     val deltaD = math.min(32, math.max(1, spec.d / 4))
 
     // One full query pass through the IVF index with a fresh profiler and
-    // searcher: the index times query prep and bucket selection, the
-    // searcher its distance and bound loops.
-    final case class Pass(totalNs: Long, prof: SearchProfiler, recall: Double)
+    // searcher, then, for an N-ary searcher, its unit bound cost calibrated
+    // next to the pass.
+    final case class Pass(totalNs: Long, prof: SearchProfiler, recall: Double, unitBound: Double)
 
     final case class Algo(name: String, idx: IvfIndex, pruner: Pruner, nary: Boolean)
 
@@ -115,15 +115,17 @@ object BreakdownBench {
       queries.indices.foreach { qi =>
         recallSum += VectorData.recall(search(queries(qi)).map(_._1), gt(qi))
       }
-      Pass(System.nanoTime() - t0, prof, recallSum / queries.length)
+      val totalNs = System.nanoTime() - t0
+      Pass(totalNs, prof, recallSum / queries.length,
+           if (a.nary) calibrateBoundNanos(a.pruner, queries.head) else 0.0)
     }
 
-    def breakdown(a: Algo, unitBound: Double, p: Pass): AlgoBreakdown = {
+    // The best pass, its N-ary bounds priced at the median unit cost of all passes.
+    def breakdown(a: Algo, ps: IndexedSeq[Pass]): AlgoBreakdown = {
+      val p = ps.minBy(_.totalNs)
+      val unitBound = BenchUtil.percentile(ps.map(_.unitBound).sorted, 0.5)
       val boundsNs = if (a.nary) p.prof.boundEvals * unitBound else p.prof.boundsNanos.toDouble
-      val distNs0 = math.max(0.0, p.prof.distanceNanos - (if (a.nary) boundsNs else 0.0))
-      val accounted = distNs0 + p.prof.bucketsNanos + boundsNs + p.prof.prepNanos
-      // Fold unaccounted time (heap, iteration) into Distance Calculation.
-      val distNs = distNs0 + math.max(0.0, p.totalNs - accounted)
+      val distNs = math.max(0.0, p.totalNs - p.prof.prepNanos - p.prof.bucketsNanos - boundsNs)
       val toMs = 1e-6 / queries.length
       AlgoBreakdown(a.name, p.totalNs * toMs, distNs * toMs, p.prof.bucketsNanos * toMs,
                     boundsNs * toMs, p.prof.prepNanos * toMs, p.recall)
@@ -136,12 +138,9 @@ object BreakdownBench {
       Algo("PDX BSA", bsaIdx, bsa, nary = false),
       Algo("PDX BOND", rawIdx, bond, nary = false),
     )
-    val unitBounds = algos.map(a => if (a.nary) calibrateBoundNanos(a.pruner, queries.head) else 0.0)
     algos.foreach(runPass) // warmup pass
     val measured = (0 until passes).map(_ => algos.map(runPass)).transpose
-    val breakdowns = algos.lazyZip(unitBounds).lazyZip(measured).map { (a, unitBound, ps) =>
-      breakdown(a, unitBound, ps.minBy(_.totalNs))
-    }
+    val breakdowns = algos.lazyZip(measured).map(breakdown)
 
     val table = BenchUtil.markdownTable(
       Seq("Algorithm", "Query Time (ms)", "Distance Calculation", "Find Nearest Buckets",

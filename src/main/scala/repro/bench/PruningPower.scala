@@ -1,6 +1,8 @@
 package repro.bench
 
 import repro.core.{NaryBucket, NarySearcher, PdxLayout, Pruner, SearchProfiler}
+import repro.data.VectorData.DatasetSpec
+import repro.prune.Bond
 
 /** Pruning power for Tables 2 and 6, K = 10: the share of dimension values
   * that the vector-at-a-time search skips when it tests its bound after
@@ -13,7 +15,8 @@ import repro.core.{NaryBucket, NarySearcher, PdxLayout, Pruner, SearchProfiler}
   * read from its profiler: `1 − dimValuesScanned / (n·d)`. The first k
   * vectors fill the heap, so all their dimensions count as used. This
   * measures the algorithm, not the storage, which is how the paper
-  * isolates pruning behaviour.
+  * isolates pruning behaviour. Tables 2 and 6 are this measurement for
+  * ADSampling over the rotated collection and PDX-BOND over the raw one.
   */
 object PruningPower {
 
@@ -29,7 +32,11 @@ object PruningPower {
     }
   }
 
-  final case class Summary(best: Double, p50: Double, p25: Double, worst: Double)
+  final case class Summary(best: Double, p50: Double, p25: Double, worst: Double) {
+    def inRowOrder: Seq[Double] = Seq(best, p50, p25, worst) // as RowNames
+  }
+
+  private val RowNames: Seq[String] = Seq("Best", "p50", "p25", "Worst")
 
   /** Best / median / lower-quartile / worst pruning power, as percentages,
     * matching the Table 2 / Table 6 row structure. "p25" is the paper's
@@ -43,5 +50,28 @@ object PruningPower {
       p25 = 100.0 * BenchUtil.percentile(sorted, 0.25),
       worst = 100.0 * sorted.head
     )
+  }
+
+  /** Table 2: ADSampling (ε0 = 2.1) pruning power. */
+  def table2(specs: Seq[DatasetSpec]): (String, Map[String, Summary]) =
+    table("ADSampling pruning power (% of dimension values avoided), Δd=1, K=10.", specs)(
+      DatasetCache.adsSpace)
+
+  /** Table 6: PDX-BOND (distance-to-means order) pruning power. */
+  def table6(specs: Seq[DatasetSpec]): (String, Map[String, Summary]) =
+    table("PDX-BOND pruning power (% of dimension values avoided), Δd=1, K=10.", specs)(
+      spec => (new Bond(spec.d, Bond.DistanceToMeans), DatasetCache.dataset(spec).vectors))
+
+  /** One column per dataset: `space` gives the pruner and the vectors in its space. */
+  private def table(title: String, specs: Seq[DatasetSpec])(
+      space: DatasetSpec => (Pruner, IndexedSeq[Array[Float]])): (String, Map[String, Summary]) = {
+    val cols = specs.map { spec =>
+      val (pruner, vecs) = space(spec)
+      spec.label -> summarize(perQuery(vecs, pruner, DatasetCache.dataset(spec).queries))
+    }
+    val rows = RowNames.indices.map { r =>
+      RowNames(r) +: cols.map { case (_, s) => BenchUtil.f1(s.inRowOrder(r)) }
+    }
+    (BenchUtil.markdownTable("Pruning" +: cols.map(_._1), rows) + s"\n$title\n", cols.toMap)
   }
 }

@@ -27,15 +27,16 @@ object NaryBucket {
   * The dimensions are visited in the pruner's order, asked for once per
   * search from the first bucket's means (as PDXearch does); a `null` order
   * is storage order, summed by the unrolled kernel. The first k vectors
-  * fill the heap with full distances.
+  * fill the heap with full distances. Like PDXearch, it asks for no bound
+  * before `pq.minPruneDims` dimensions are visited.
   *
   * Used as the N-ary side of Table 7 and the SIMD-ADS/BSA stand-in, over
   * buckets derived from the IVF index's PDX blocks (`IvfIndex.searchNary`,
   * which picks them with the PDX centroid scan that `searchPdx` uses), and
   * at Δd = 1 as the vector-at-a-time search whose pruning power Tables 2
   * and 6 report ([[repro.bench.PruningPower]]). `profiler`, when not null,
-  * counts operations (see [[SearchProfiler]]); `IvfIndex.searchNary` adds
-  * to it.
+  * only counts operations (see [[SearchProfiler]]); `IvfIndex.searchNary`
+  * adds its prep and bucket time.
   */
 final class NarySearcher(val k: Int, deltaD: Int, val profiler: SearchProfiler = null) {
   require(k > 0, s"k must be positive, got $k")
@@ -51,6 +52,7 @@ final class NarySearcher(val k: Int, deltaD: Int, val profiler: SearchProfiler =
                      heap: KnnHeap): KnnHeap = {
     val it = buckets.iterator
     val q = pq.query
+    val minPrune = pq.minPruneDims
     var order: Array[Int] = null
     var ordered = false
     while (it.hasNext) {
@@ -60,7 +62,6 @@ final class NarySearcher(val k: Int, deltaD: Int, val profiler: SearchProfiler =
       if (!ordered) { order = pq.order(b.means); ordered = true }
       val stride = d + 1
       val suffix = b.suffixSqNorms
-      val t0 = if (profiler ne null) System.nanoTime() else 0L
       var dimValues = 0L
       var evals = 0L
       var i = 0
@@ -89,7 +90,7 @@ final class NarySearcher(val k: Int, deltaD: Int, val profiler: SearchProfiler =
             }
             dimValues += nd - dv
             dv = nd
-            if (dv < d) {
+            if (dv < d && dv >= minPrune) {
               val vs = if (suffix.length == 0) 0f else suffix(i * stride + dv)
               evals += 1
               if (pq.bound(partial, dv, vs) > tau) prunedV = true
@@ -100,10 +101,6 @@ final class NarySearcher(val k: Int, deltaD: Int, val profiler: SearchProfiler =
         i += 1
       }
       if (profiler ne null) {
-        // Interleaved per-vector segments are too small to time individually;
-        // record the whole bucket scan as distance time plus the op counts —
-        // the bench splits it with calibrated unit costs (DESIGN.md #5).
-        profiler.distanceNanos += System.nanoTime() - t0
         profiler.dimValuesScanned += dimValues
         profiler.boundEvals += evals
       }

@@ -34,9 +34,10 @@ trait PreparedQuery {
   def bound(partial: Float, dimsVisited: Int, vecSuffixSq: Float): Float
 
   /** Dims the algorithm wants scanned before its first pruning attempt —
-    * the Δd of the ADSampling/BSA dual-block layout (§2.3). PDXearch sizes
-    * its first WARMUP step to at least this, so no predicate passes are
-    * wasted where the bound cannot fire. 0 = prune from the first step.
+    * the Δd of the ADSampling/BSA dual-block layout (§2.3). Neither searcher
+    * asks for the bound below it: PDXearch sizes its first WARMUP step to at
+    * least this, and [[NarySearcher]] skips the earlier checkpoints.
+    * 0 = prune from the first step.
     */
   def minPruneDims: Int = 0
 

@@ -7,10 +7,11 @@ package repro.core
   * into the searcher's profiler.
   *
   * PDXearch's loops are batched (one distance loop and one bounds loop per
-  * step), so those are timed directly. The N-ary pruned search interleaves
-  * tiny per-vector segments; the searcher only counts operations there, and
-  * the bench attributes the measured scan time via calibrated unit costs
-  * (DESIGN.md, substitution #5).
+  * step), so those are timed directly: `distanceNanos` and `boundsNanos`
+  * hold PDXearch's time only. The N-ary pruned search interleaves tiny
+  * per-vector segments; it only counts operations (`dimValuesScanned`,
+  * `boundEvals`), and the bench attributes its bound time with a calibrated
+  * unit cost (DESIGN.md, substitution #5).
   */
 final class SearchProfiler {
   var prepNanos: Long = 0L

@@ -101,7 +101,12 @@ object IvfIndex {
     val d = vecsInSpace.head.length
     val byBucket = Array.fill(part.nlist)(Vector.newBuilder[Int])
     var i = 0
-    while (i < part.assign.length) { byBucket(part.assign(i)) += i; i += 1 }
+    while (i < part.assign.length) {
+      val c = part.assign(i)
+      require(c >= 0 && c < part.nlist, s"vector $i is assigned to bucket $c, outside [0, nlist ${part.nlist})")
+      byBucket(c) += i
+      i += 1
+    }
     val members = byBucket.map(_.result())
     val live = (0 until part.nlist).filter(members(_).nonEmpty)
     val bucketOf = Array.fill(part.nlist)(-1)

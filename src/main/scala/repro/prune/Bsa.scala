@@ -40,11 +40,12 @@ final class Bsa(val d: Int, val multiplier: Double,
   private val exact: Boolean = multiplier.isPosInfinity
   override val needsSuffixNorms = true
 
-  /** Approximate BSA never prunes before this many dims: the original BSA
-    * evaluates its bound only at Δd=32 checkpoints, and the learned
-    * quantiles are not calibrated for tiny prefixes (sample near-pairs are
-    * farther than true query neighbours, whose residuals stay correlated
-    * longer). The exact mode has no such restriction.
+  /** Approximate BSA never prunes before this many dims (its
+    * `minPruneDims`, below which neither searcher asks for the bound): the
+    * original BSA evaluates its bound only at Δd=32 checkpoints, and the
+    * learned quantiles are not calibrated for tiny prefixes (sample
+    * near-pairs are farther than true query neighbours, whose residuals
+    * stay correlated longer). The exact mode has no such restriction.
     */
   val minDims: Int = if (exact) 0 else math.max(1, math.min(32, d / 4))
 
@@ -64,7 +65,6 @@ final class Bsa(val d: Int, val multiplier: Double,
       def order(means: Array[Float]): Array[Int] = null
       override def minPruneDims: Int = minDims
       def bound(partial: Float, dimsVisited: Int, vecSuffixSq: Float): Float = {
-        if (dimsVisited < minDims) return Float.NegativeInfinity
         val sq = qs(dimsVisited)
         val cross = cross2(dimsVisited) * math.sqrt(vecSuffixSq.toDouble * sq).toFloat
         partial + vecSuffixSq + sq - cross

@@ -26,6 +26,9 @@ object PdxBlockRow {
   def from(b: PdxBlock): PdxBlockRow = PdxBlockRow(b.ids, b.n, b.d, b.data, b.means)
 }
 
+/** One neighbour in a `pdx_block_knn` result: SQL `struct<id: bigint, dist: double>`. */
+final case class KnnHit(id: Long, dist: Double)
+
 /** Spark-side PDX: pack a vector DataFrame into per-partition PDX blocks
   * and run dimension-by-dimension KNN inside executors.
   *
@@ -123,9 +126,10 @@ object PdxSpark {
   }
 
   /** Register the `pdx_block_knn(data, n, d, ids, query, k)` UDF: scans one
-    * PDX block dimension-at-a-time and returns its local top-k as
-    * `array<struct<id, dist>>` — the SQL-facing dimension-scan path. A NaN
-    * or infinite query value fails the query, naming its position.
+    * PDX block dimension-at-a-time and returns its local top-k, sorted by
+    * (dist, id), as `array<struct<id: bigint, dist: double>>` (one
+    * [[KnnHit]] each) — the SQL-facing dimension-scan path. A NaN or
+    * infinite query value fails the query, naming its position.
     */
   def registerUdf(spark: SparkSession): Unit = {
     spark.udf.register(
@@ -137,7 +141,7 @@ object PdxSpark {
         val block = PdxBlock(ids.toArray, n, d, data.toArray, new Array[Float](d),
                              Array.emptyFloatArray)
         LinearScan.pdxKnn(Iterator.single(block), q, k).sorted
-          .map { case (id, dist) => (id, dist.toDouble) }
+          .map { case (id, dist) => KnnHit(id, dist.toDouble) }
       }
     )
   }

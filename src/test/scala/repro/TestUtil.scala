@@ -2,6 +2,7 @@ package repro
 
 import java.util.concurrent.{Callable, ForkJoinPool}
 import repro.core.Kernels
+import repro.data.VectorData
 
 /** Shared assertions for search-result exactness.
   *
@@ -22,6 +23,12 @@ object TestUtil {
       gen(params, org.scalacheck.rng.Seed(1000L + i)).foreach(f)
     }
   }
+
+  /** A synthetic collection of `n` vectors in 8 Gaussian clusters, with
+    * `queries` queries: the search suites' shared fixture.
+    */
+  def clustered(n: Int, d: Int, queries: Int, seed: Long, skewed: Boolean = false): VectorData.Dataset =
+    VectorData.generate(VectorData.DatasetSpec("t", d, n, queries, skewed, clusters = 8, seed = seed))
 
   /** `f` evaluated in a ForkJoinPool of 1 thread, in one of 3 threads and
     * in the calling thread's (common) pool: a parallel stream runs in the

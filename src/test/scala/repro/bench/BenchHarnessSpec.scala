@@ -21,14 +21,14 @@ class BenchHarnessSpec extends AnyFunSuite {
            MetaTables.table3().contains(System.getProperty("os.arch")))
   }
 
-  test("PruningTables.table2 runs at quick scale") {
-    val (t, cells) = PruningTables.table2(quick.take(2))
+  test("PruningPower.table2 runs at quick scale") {
+    val (t, cells) = PruningPower.table2(quick.take(2))
     assert(cells.size == 2)
     assert(t.contains("Best"))
   }
 
-  test("PruningTables.table6 runs at quick scale") {
-    val (t, cells) = PruningTables.table6(quick.take(2))
+  test("PruningPower.table6 runs at quick scale") {
+    val (t, cells) = PruningPower.table6(quick.take(2))
     assert(cells.size == 2)
     assert(cells.values.forall(s => s.best >= s.worst))
     assert(t.contains("PDX-BOND"))
@@ -66,6 +66,9 @@ class BenchHarnessSpec extends AnyFunSuite {
       assert(r.totalMs > 0, r.name)
       val sum = r.distMs + r.bucketsMs + r.boundsMs + r.prepMs
       assert(sum <= r.totalMs * 1.2 + 0.01, s"${r.name}: components $sum vs total ${r.totalMs}")
+      // Distance Calculation is the rest of the query time.
+      val rest = math.max(0.0, r.totalMs - r.bucketsMs - r.boundsMs - r.prepMs)
+      assert(math.abs(r.distMs - rest) <= 1e-6, s"${r.name}: distance ${r.distMs} vs rest $rest")
       assert(r.recall > 0.5, s"${r.name} recall ${r.recall}")
     }
     assert(t.contains("PDX BOND"))

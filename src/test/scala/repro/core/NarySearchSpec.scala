@@ -2,14 +2,12 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
+import repro.TestUtil.clustered
 import repro.bench.ExactSearchBench
 import repro.data.VectorData
 import repro.prune.{AdSampling, Bond, Bsa}
 
 class NarySearchSpec extends AnyFunSuite {
-
-  private def clustered(n: Int, d: Int, seed: Long, skewed: Boolean = false) =
-    VectorData.generate(VectorData.DatasetSpec("t", d, n, 6, skewed, clusters = 8, seed = seed))
 
   /** The vectors as one N-ary bucket, built the one way: from their PDX block. */
   private def naryBucket(vecs: IndexedSeq[Array[Float]], ids: IndexedSeq[Long],
@@ -65,7 +63,7 @@ class NarySearchSpec extends AnyFunSuite {
 
   for ((d, deltaD) <- Seq(4 -> 1, 32 -> 8, 128 -> 32)) {
     test(s"NarySearcher + PartialDistance is exact (deltaD=$deltaD)") {
-      val ds = clustered(600, d, seed = 5)
+      val ds = clustered(600, d, queries = 6, seed = 5)
       val buckets = Seq(
         naryBucket(ds.vectors.take(300), ds.ids.take(300)),
         naryBucket(ds.vectors.drop(300), ds.ids.drop(300))
@@ -80,7 +78,7 @@ class NarySearchSpec extends AnyFunSuite {
 
   test("NarySearcher + BSA(m=1) is exact") {
     val d = 32
-    val ds = clustered(500, d, seed = 7, skewed = true)
+    val ds = clustered(500, d, queries = 6, seed = 7, skewed = true)
     val bsa = Bsa.fitExact(ds.vectors)
     val space = bsa.transformData(ds.vectors)
     val bucket = naryBucket(space, ds.ids, withSuffixNorms = true)
@@ -93,7 +91,7 @@ class NarySearchSpec extends AnyFunSuite {
 
   test("NarySearcher + ADSampling reaches recall@10 >= 0.9") {
     val d = 64
-    val ds = clustered(1500, d, seed = 9)
+    val ds = clustered(1500, d, queries = 6, seed = 9)
     val ads = new AdSampling(d, seed = 11)
     val space = ads.transformData(ds.vectors)
     val bucket = naryBucket(space, ds.ids)
@@ -107,7 +105,7 @@ class NarySearchSpec extends AnyFunSuite {
 
   test("NarySearcher and PdxSearcher agree under the same exact pruner") {
     val d = 24
-    val ds = clustered(400, d, seed = 13)
+    val ds = clustered(400, d, queries = 6, seed = 13)
     val nb = naryBucket(ds.vectors, ds.ids)
     val pb = PdxLayout.pack(ds.vectors, ds.ids, 64)
     val q = ds.queries.head
@@ -118,18 +116,41 @@ class NarySearchSpec extends AnyFunSuite {
 
   test("NarySearcher counts operations when profiled") {
     val d = 48
-    val ds = clustered(800, d, seed = 15)
+    val ds = clustered(800, d, queries = 6, seed = 15)
     val prof = new SearchProfiler
     val searcher = new NarySearcher(10, deltaD = d / 4, prof)
     val bucket = naryBucket(ds.vectors, ds.ids)
     searcher.search(Seq(bucket), ds.queries.head, TestPruners.PartialDistance(d))
     assert(prof.dimValuesScanned > 0 && prof.dimValuesScanned <= 800L * d)
-    assert(prof.distanceNanos > 0)
+    assert(prof.distanceNanos == 0) // the N-ary search only counts
+  }
+
+  test("NarySearcher first asks for the bound at the pruner's minPruneDims") {
+    // A pruner that records the first dimsVisited its bound is asked about.
+    val d = 64
+    val ds = clustered(300, d, queries = 6, seed = 53)
+    val bucket = naryBucket(ds.vectors, ds.ids)
+    var firstAsked = -1
+    val probe = new Pruner {
+      val name = "probe"
+      val d: Int = 64
+      def prepareQuery(q: Array[Float]): PreparedQuery = new PreparedQuery {
+        val query: Array[Float] = q
+        def order(means: Array[Float]): Array[Int] = null
+        override def minPruneDims: Int = 16
+        def bound(partial: Float, dimsVisited: Int, vecSuffixSq: Float): Float = {
+          if (firstAsked < 0) firstAsked = dimsVisited
+          Float.NegativeInfinity
+        }
+      }
+    }
+    new NarySearcher(5, deltaD = 1).search(Seq(bucket), ds.queries.head, probe)
+    assert(firstAsked >= 16, s"first bound asked at dv=$firstAsked")
   }
 
   test("NarySearcher + PDX-BOND is exact for every criterion at Δd ∈ {1, 8}") {
     val d = 32
-    val ds = clustered(600, d, seed = 19, skewed = true)
+    val ds = clustered(600, d, queries = 6, seed = 19, skewed = true)
     val buckets = Seq(
       naryBucket(ds.vectors.take(250), ds.ids.take(250)),
       naryBucket(ds.vectors.drop(250), ds.ids.drop(250))
@@ -178,7 +199,7 @@ class NarySearchSpec extends AnyFunSuite {
 
   test("all linear scans agree with double-precision brute force") {
     val d = 33
-    val ds = clustered(500, d, seed = 17)
+    val ds = clustered(500, d, queries = 6, seed = 17)
     val nary = PdxLayout.packNary(ds.vectors)
     val dsm = ExactSearchBench.packDsm(ds.vectors)
     val blocks = PdxLayout.pack(ds.vectors, ds.ids, 64)

@@ -2,14 +2,12 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
+import repro.TestUtil.clustered
 import repro.data.VectorData
 import repro.prune.{AdSampling, Bond, Bsa}
 
 /** Exactness and recall invariants of the PDXearch framework (§4). */
 class PdxSearchSpec extends AnyFunSuite {
-
-  private def clustered(n: Int, d: Int, seed: Long, skewed: Boolean = false) =
-    VectorData.generate(VectorData.DatasetSpec("t", d, n, 8, skewed, clusters = 8, seed = seed))
 
   // --- exact pruners must equal brute force on every configuration ---
   for {
@@ -18,7 +16,7 @@ class PdxSearchSpec extends AnyFunSuite {
     k <- Seq(1, 10)
   } {
     test(s"PDXearch + PartialDistance is exact (d=$d, blockSize=$bs, k=$k)") {
-      val ds = clustered(600, d, seed = d * 100L + bs)
+      val ds = clustered(600, d, queries = 8, seed = d * 100L + bs)
       val blocks = PdxLayout.pack(ds.vectors, ds.ids, bs)
       val searcher = new PdxSearcher(k)
       ds.queries.foreach { q =>
@@ -31,7 +29,7 @@ class PdxSearchSpec extends AnyFunSuite {
   for (crit <- Seq(Bond.Sequential, Bond.Decreasing, Bond.DistanceToMeans, Bond.DimensionZones)) {
     test(s"PDXearch + PDX-BOND(${crit.label}) is exact") {
       val d = 48
-      val ds = clustered(800, d, seed = 7, skewed = true)
+      val ds = clustered(800, d, queries = 8, seed = 7, skewed = true)
       val blocks = PdxLayout.pack(ds.vectors, ds.ids, 100)
       val searcher = new PdxSearcher(10)
       ds.queries.foreach { q =>
@@ -43,7 +41,7 @@ class PdxSearchSpec extends AnyFunSuite {
 
   test("PDXearch + NeverPrune equals a PDX linear scan") {
     val d = 20
-    val ds = clustered(500, d, seed = 11)
+    val ds = clustered(500, d, queries = 8, seed = 11)
     val blocks = PdxLayout.pack(ds.vectors, ds.ids, 64)
     val searcher = new PdxSearcher(10)
     ds.queries.foreach { q =>
@@ -55,7 +53,7 @@ class PdxSearchSpec extends AnyFunSuite {
 
   test("pdxKnn and PDXearch reject a query of the wrong dimensionality") {
     val d = 20
-    val ds = clustered(300, d, seed = 29)
+    val ds = clustered(300, d, queries = 8, seed = 29)
     val blocks = PdxLayout.pack(ds.vectors, ds.ids, 64)
     val searcher = new PdxSearcher(10)
     for (len <- Seq(d - 1, d + 1)) {
@@ -69,7 +67,7 @@ class PdxSearchSpec extends AnyFunSuite {
 
   test("PDXearch + BSA(m=1) is exact") {
     val d = 32
-    val ds = clustered(700, d, seed = 13, skewed = true)
+    val ds = clustered(700, d, queries = 8, seed = 13, skewed = true)
     val bsa = Bsa.fitExact(ds.vectors)
     val space = bsa.transformData(ds.vectors)
     val blocks = PdxLayout.pack(space, ds.ids, 64, withSuffixNorms = true)
@@ -83,7 +81,7 @@ class PdxSearchSpec extends AnyFunSuite {
 
   test("PDXearch + ADSampling reaches recall@10 >= 0.9 on clustered data") {
     val d = 64
-    val ds = clustered(2000, d, seed = 17)
+    val ds = clustered(2000, d, queries = 8, seed = 17)
     val ads = new AdSampling(d, seed = 19)
     val space = ads.transformData(ds.vectors)
     val blocks = PdxLayout.pack(space, ds.ids, 64)
@@ -99,7 +97,7 @@ class PdxSearchSpec extends AnyFunSuite {
 
   test("PDXearch + learned BSA reaches recall@10 >= 0.85 on clustered data") {
     val d = 64
-    val ds = clustered(2000, d, seed = 23, skewed = true)
+    val ds = clustered(2000, d, queries = 8, seed = 23, skewed = true)
     val bsa = Bsa.fit(ds.vectors)
     val space = bsa.transformData(ds.vectors)
     val blocks = PdxLayout.pack(space, ds.ids, 64, withSuffixNorms = true)
@@ -116,7 +114,7 @@ class PdxSearchSpec extends AnyFunSuite {
   test("PDXearch sizes its first WARMUP step to the pruner's minPruneDims") {
     // A pruner that records the first dimsVisited its bound is asked about.
     val d = 64
-    val ds = clustered(300, d, seed = 53)
+    val ds = clustered(300, d, queries = 8, seed = 53)
     val blocks = PdxLayout.pack(ds.vectors, ds.ids, 64)
     var firstAsked = -1
     val probe = new Pruner {
@@ -139,7 +137,7 @@ class PdxSearchSpec extends AnyFunSuite {
   test("PDXearch asks for the dimension order once per search") {
     // 10 blocks of 30: the first fills the heap, the other nine are pruned.
     val d = 16
-    val ds = clustered(300, d, seed = 59)
+    val ds = clustered(300, d, queries = 8, seed = 59)
     val blocks = PdxLayout.pack(ds.vectors, ds.ids, 30)
     var orderCalls = 0
     val probe = new Pruner {
@@ -171,7 +169,7 @@ class PdxSearchSpec extends AnyFunSuite {
     // WARMUP/PRUNE evaluated bounds; it scanned all n*d values iff it stayed
     // in WARMUP to the last dimension (PRUNE skips the pruned vectors).
     val d = 30
-    val ds = clustered(500, d, seed = 31)
+    val ds = clustered(500, d, queries = 8, seed = 31)
     val blocks = PdxLayout.pack(ds.vectors, ds.ids, 64)
     val prof = new SearchProfiler
     val searcher = new PdxSearcher(5, prof)
@@ -237,7 +235,7 @@ class PdxSearchSpec extends AnyFunSuite {
 
   test("k larger than the collection returns every vector") {
     val d = 12
-    val ds = clustered(40, d, seed = 37)
+    val ds = clustered(40, d, queries = 8, seed = 37)
     val blocks = PdxLayout.pack(ds.vectors, ds.ids, 16)
     val searcher = new PdxSearcher(100)
     val heap = searcher.search(blocks, ds.queries.head, new Bond(d))
@@ -246,7 +244,7 @@ class PdxSearchSpec extends AnyFunSuite {
 
   test("single-vector blocks work") {
     val d = 10
-    val ds = clustered(30, d, seed = 41)
+    val ds = clustered(30, d, queries = 8, seed = 41)
     val blocks = PdxLayout.pack(ds.vectors, ds.ids, 1)
     val searcher = new PdxSearcher(3)
     ds.queries.foreach { q =>
@@ -258,7 +256,7 @@ class PdxSearchSpec extends AnyFunSuite {
   test("searcher instances are reusable across queries and block shapes") {
     val searcher = new PdxSearcher(4)
     for (d <- Seq(8, 24); n <- Seq(50, 300)) {
-      val ds = clustered(n, d, seed = d * 10L + n)
+      val ds = clustered(n, d, queries = 8, seed = d * 10L + n)
       val blocks = PdxLayout.pack(ds.vectors, ds.ids, 32)
       ds.queries.take(3).foreach { q =>
         val heap = searcher.search(blocks, q, new Bond(d))
@@ -269,7 +267,7 @@ class PdxSearchSpec extends AnyFunSuite {
 
   test("profiler accounts distance and bounds time when attached") {
     val d = 64
-    val ds = clustered(2000, d, seed = 43)
+    val ds = clustered(2000, d, queries = 8, seed = 43)
     val prof = new SearchProfiler
     val searcher = new PdxSearcher(10, profiler = prof)
     val blocks = PdxLayout.pack(ds.vectors, ds.ids, 64)
@@ -295,7 +293,7 @@ class PdxSearchSpec extends AnyFunSuite {
 
   test("pruning reduces scanned dimension values vs linear scan on clustered data") {
     val d = 96
-    val ds = clustered(3000, d, seed = 47, skewed = true)
+    val ds = clustered(3000, d, queries = 8, seed = 47, skewed = true)
     val prof = new SearchProfiler
     val searcher = new PdxSearcher(10, profiler = prof)
     val blocks = PdxLayout.pack(ds.vectors, ds.ids, 64)

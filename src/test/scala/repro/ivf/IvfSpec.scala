@@ -2,26 +2,24 @@ package repro.ivf
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
+import repro.TestUtil.clustered
 import repro.core._
 import repro.data.VectorData
 import repro.prune.{AdSampling, Bond, Bsa}
 
 class IvfSpec extends AnyFunSuite {
 
-  private def clustered(n: Int, d: Int, seed: Long, skewed: Boolean = false) =
-    VectorData.generate(VectorData.DatasetSpec("t", d, n, 6, skewed, clusters = 8, seed = seed))
-
   // ---------------- k-means ----------------
 
   test("KMeans is deterministic in (data, k, seed)") {
-    val vecs = clustered(300, 8, seed = 1).vectors
+    val vecs = clustered(300, 8, queries = 6, seed = 1).vectors
     val a = KMeans.fit(vecs, 5, seed = 9)
     val b = KMeans.fit(vecs, 5, seed = 9)
     a.centroids.zip(b.centroids).foreach { case (x, y) => assert(x.toSeq == y.toSeq) }
   }
 
   test("KMeans.assign returns the nearest centroid") {
-    val vecs = clustered(200, 6, seed = 2).vectors
+    val vecs = clustered(200, 6, queries = 6, seed = 2).vectors
     val model = KMeans.fit(vecs, 4, seed = 3)
     vecs.take(50).foreach { v =>
       val got = model.assign(v)
@@ -55,7 +53,7 @@ class IvfSpec extends AnyFunSuite {
   }
 
   test("KMeans rejects a vector whose length differs from the first, naming it") {
-    val vecs = clustered(50, 6, seed = 4).vectors.toVector
+    val vecs = clustered(50, 6, queries = 6, seed = 4).vectors.toVector
     for (len <- Seq(5, 7)) {
       val e = intercept[IllegalArgumentException] {
         KMeans.fit(vecs.updated(17, new Array[Float](len)), 3)
@@ -65,7 +63,7 @@ class IvfSpec extends AnyFunSuite {
   }
 
   test("KMeans rejects a non-finite value, naming the vector, the position and the value") {
-    val vecs = clustered(50, 6, seed = 5).vectors.toVector
+    val vecs = clustered(50, 6, queries = 6, seed = 5).vectors.toVector
     for (x <- Seq(Float.NaN, Float.PositiveInfinity, Float.NegativeInfinity)) {
       val bad = vecs(23).clone()
       bad(4) = x
@@ -76,7 +74,7 @@ class IvfSpec extends AnyFunSuite {
   }
 
   test("KMeans.assignAll is assign of every vector") {
-    val vecs = clustered(2000, 16, seed = 6).vectors
+    val vecs = clustered(2000, 16, queries = 6, seed = 6).vectors
     val model = KMeans.fit(vecs, 12, iters = 3, seed = 8)
     val all = model.assignAll(vecs)
     assert(all.length == vecs.length)
@@ -85,7 +83,7 @@ class IvfSpec extends AnyFunSuite {
 
   for ((kind, len) <- Seq("longer" -> 17, "shorter" -> 15)) {
     test(s"KMeans.assign and assignAll reject a $kind vector than the centroids, assignAll naming it") {
-      val vecs = clustered(60, 16, seed = 7).vectors.toVector
+      val vecs = clustered(60, 16, queries = 6, seed = 7).vectors.toVector
       val model = KMeans.fit(vecs, 4, iters = 2, seed = 9)
       val bad = Array.tabulate(len)(j => if (j < 16) vecs(0)(j) else 1f)
       val e1 = intercept[IllegalArgumentException](model.assign(bad))
@@ -96,7 +94,7 @@ class IvfSpec extends AnyFunSuite {
   }
 
   test("KMeans.fit and Ivf.partition give the same bits in pools of 1 and 3 threads and the common pool") {
-    val vecs = clustered(3000, 24, seed = 10, skewed = true).vectors
+    val vecs = clustered(3000, 24, queries = 6, seed = 10, skewed = true).vectors
     val fits = TestUtil.inPools(KMeans.fit(vecs, 20, seed = 12).centroids)
     val parts = TestUtil.inPools(Ivf.partition(vecs, 20, seed = 12))
     for (centroids <- fits.tail ++ parts.map(_.rawCentroids); c <- 0 until 20)
@@ -122,7 +120,7 @@ class IvfSpec extends AnyFunSuite {
   }
 
   test("KMeans.assign is bucket selection with nprobe 1 on a raw-space index whose buckets are all live") {
-    val ds = clustered(1500, 20, seed = 13, skewed = true)
+    val ds = clustered(1500, 20, queries = 6, seed = 13, skewed = true)
     val part = Ivf.partition(ds.vectors, nlist = 16, seed = 14)
     val idx = IvfIndex.materialize(part, ds.vectors, ds.ids, part.rawCentroids, withSuffixNorms = false)
     assert(idx.bucketOf.forall(_ >= 0), "every bucket is live")
@@ -135,7 +133,7 @@ class IvfSpec extends AnyFunSuite {
   // ---------------- IVF build ----------------
 
   test("Ivf.partition covers every vector and respects nlist") {
-    val ds = clustered(400, 10, seed = 21)
+    val ds = clustered(400, 10, queries = 6, seed = 21)
     val part = Ivf.partition(ds.vectors, nlist = 10)
     assert(part.assign.length == 400)
     assert(part.assign.forall(a => a >= 0 && a < 10))
@@ -143,7 +141,7 @@ class IvfSpec extends AnyFunSuite {
   }
 
   test("materialize groups vectors into identical PDX and N-ary buckets") {
-    val ds = clustered(400, 12, seed = 23)
+    val ds = clustered(400, 12, queries = 6, seed = 23)
     val part = Ivf.partition(ds.vectors, nlist = 8)
     val idx = IvfIndex.materialize(part, ds.vectors, ds.ids, part.rawCentroids, withSuffixNorms = false)
     assert(idx.blocks.map(_.n).sum == 400)
@@ -160,7 +158,7 @@ class IvfSpec extends AnyFunSuite {
   }
 
   test("bucketOf maps centroids to blocks consistently") {
-    val ds = clustered(200, 6, seed = 25)
+    val ds = clustered(200, 6, queries = 6, seed = 25)
     val part = Ivf.partition(ds.vectors, nlist = 20)
     val idx = IvfIndex.materialize(part, ds.vectors, ds.ids, part.rawCentroids, withSuffixNorms = false)
     (0 until 20).foreach { c =>
@@ -211,7 +209,7 @@ class IvfSpec extends AnyFunSuite {
   }
 
   test("nearestBuckets and the IVF searches reject a non-positive nprobe") {
-    val ds = clustered(200, 8, seed = 51)
+    val ds = clustered(200, 8, queries = 6, seed = 51)
     val bond = new Bond(8, Bond.DistanceToMeans)
     val part = Ivf.partition(ds.vectors, nlist = 4)
     val idx = IvfIndex.materialize(part, ds.vectors, ds.ids, part.rawCentroids, withSuffixNorms = false)
@@ -232,7 +230,7 @@ class IvfSpec extends AnyFunSuite {
 
   test("searchPdx with BOND and nprobe == nlist is exact") {
     val d = 24
-    val ds = clustered(500, d, seed = 31)
+    val ds = clustered(500, d, queries = 6, seed = 31)
     val bond = new Bond(d, Bond.DimensionZones)
     val part = Ivf.partition(ds.vectors, nlist = 10)
     val idx = IvfIndex.materialize(part, ds.vectors, ds.ids, part.rawCentroids, withSuffixNorms = false)
@@ -245,7 +243,7 @@ class IvfSpec extends AnyFunSuite {
 
   test("recall grows with nprobe") {
     val d = 32
-    val ds = clustered(2000, d, seed = 33)
+    val ds = clustered(2000, d, queries = 6, seed = 33)
     val part = Ivf.partition(ds.vectors, nlist = 20)
     val idx = IvfIndex.materialize(part, ds.vectors, ds.ids, part.rawCentroids, withSuffixNorms = false)
     val gt = VectorData.groundTruth(ds.vectors, ds.queries, 10)
@@ -265,7 +263,7 @@ class IvfSpec extends AnyFunSuite {
 
   test("PDX-ADS inside IVF matches N-ary-ADS recall and beats 0.85 at full probe") {
     val d = 48
-    val ds = clustered(1500, d, seed = 35)
+    val ds = clustered(1500, d, queries = 6, seed = 35)
     val ads = new AdSampling(d, seed = 37)
     val part = Ivf.partition(ds.vectors, nlist = 12)
     val idx = IvfIndex.materialize(part, ads.transformData(ds.vectors), ds.ids,
@@ -288,7 +286,7 @@ class IvfSpec extends AnyFunSuite {
 
   test("BSA(m=1) inside IVF is exact at full probe in both layouts") {
     val d = 24
-    val ds = clustered(600, d, seed = 39, skewed = true)
+    val ds = clustered(600, d, queries = 6, seed = 39, skewed = true)
     val bsa = Bsa.fitExact(ds.vectors)
     val part = Ivf.partition(ds.vectors, nlist = 8)
     val idx = IvfIndex.materialize(part, bsa.transformData(ds.vectors), ds.ids,
@@ -304,7 +302,7 @@ class IvfSpec extends AnyFunSuite {
 
   test("searchPdx and searchNary time prep and bucket selection into the searcher's profiler") {
     val d = 32
-    val ds = clustered(800, d, seed = 53, skewed = true)
+    val ds = clustered(800, d, queries = 6, seed = 53, skewed = true)
     val part = Ivf.partition(ds.vectors, nlist = 8)
     val ads = new AdSampling(d, seed = 55)
     val adsIdx = IvfIndex.materialize(part, ads.transformData(ds.vectors), ds.ids,
@@ -348,7 +346,7 @@ class IvfSpec extends AnyFunSuite {
 
   test("N-ary IVF paths reject a query of the wrong dimensionality") {
     val d = 12
-    val ds = clustered(200, d, seed = 45)
+    val ds = clustered(200, d, queries = 6, seed = 45)
     val part = Ivf.partition(ds.vectors, nlist = 4)
     val idx = IvfIndex.materialize(part, ds.vectors, ds.ids, part.rawCentroids, withSuffixNorms = false)
     val searcher = new NarySearcher(10, deltaD = d / 4)
@@ -369,7 +367,7 @@ class IvfSpec extends AnyFunSuite {
     // Checked on the raw query: after the rotation one NaN is in every
     // coordinate, and its position is lost.
     val d = 12
-    val ds = clustered(200, d, seed = 46)
+    val ds = clustered(200, d, queries = 6, seed = 46)
     val part = Ivf.partition(ds.vectors, nlist = 4)
     val ads = new AdSampling(d, seed = 47)
     val inSpace = ads.transformData(ds.vectors)
@@ -403,7 +401,7 @@ class IvfSpec extends AnyFunSuite {
   }
 
   test("IvfIndex.materialize rejects vectors, ids and assignments of different lengths") {
-    val ds = clustered(60, 6, seed = 47)
+    val ds = clustered(60, 6, queries = 6, seed = 47)
     val part = Ivf.partition(ds.vectors, nlist = 3)
     val e1 = intercept[IllegalArgumentException] {
       IvfIndex.materialize(part, ds.vectors, ds.ids.take(59), part.rawCentroids, withSuffixNorms = false)
@@ -417,7 +415,7 @@ class IvfSpec extends AnyFunSuite {
   }
 
   test("IvfIndex.materialize rejects a centroid count other than nlist") {
-    val ds = clustered(60, 6, seed = 49)
+    val ds = clustered(60, 6, queries = 6, seed = 49)
     val part = Ivf.partition(ds.vectors, nlist = 3)
     for (centroids <- Seq(part.rawCentroids.take(2), part.rawCentroids :+ part.rawCentroids.head)) {
       val e = intercept[IllegalArgumentException] {
@@ -427,8 +425,19 @@ class IvfSpec extends AnyFunSuite {
     }
   }
 
+  test("IvfIndex.materialize rejects an assignment outside [0, nlist), naming the vector and the value") {
+    val vecs = IndexedSeq(Array(0f, 1f), Array(2f, 3f))
+    for (bad <- Seq(2, -1)) {
+      val part = IvfPartition(2, Array(0, bad), Array(Array(0f, 0f), Array(1f, 1f)))
+      val e = intercept[IllegalArgumentException] {
+        IvfIndex.materialize(part, vecs, IndexedSeq(0L, 1L), part.rawCentroids, withSuffixNorms = false)
+      }
+      assert(e.getMessage.contains(s"vector 1 is assigned to bucket $bad, outside [0, nlist 2)"), e.getMessage)
+    }
+  }
+
   test("IvfIndex.materialize rejects a NaN or infinite vector or centroid value, naming it") {
-    val ds = clustered(60, 6, seed = 51)
+    val ds = clustered(60, 6, queries = 6, seed = 51)
     val part = Ivf.partition(ds.vectors, nlist = 3)
     val vecs = ds.vectors.toVector
     for (x <- Seq(Float.NaN, Float.PositiveInfinity, Float.NegativeInfinity)) {
@@ -452,7 +461,7 @@ class IvfSpec extends AnyFunSuite {
 
   test("IvfIndex.build in ADSampling space preserves bucket membership vs raw") {
     val d = 16
-    val ds = clustered(300, d, seed = 41)
+    val ds = clustered(300, d, queries = 6, seed = 41)
     val ads = new AdSampling(d, seed = 43)
     val part = Ivf.partition(ds.vectors, nlist = 6)
     val rawIdx = IvfIndex.materialize(part, ds.vectors, ds.ids, part.rawCentroids, withSuffixNorms = false)

@@ -218,10 +218,7 @@ class PrunerSpec extends AnyFunSuite {
       for (dv <- 1 until v.length) {
         val t = pqExact.query(dv - 1) - v(dv - 1)
         partial += t * t
-        if (dv >= agg.minDims) // below minDims the approximate bound opts out (-inf)
-          assert(pqAgg.bound(partial, dv, suffix(dv)) >= pqExact.bound(partial, dv, suffix(dv)) - 1e-4)
-        else
-          assert(pqAgg.bound(partial, dv, suffix(dv)) == Float.NegativeInfinity)
+        assert(pqAgg.bound(partial, dv, suffix(dv)) >= pqExact.bound(partial, dv, suffix(dv)) - 1e-4)
       }
     }
   }

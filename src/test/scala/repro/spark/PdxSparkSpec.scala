@@ -226,11 +226,14 @@ class PdxSparkSpec extends SparkSpec {
     PdxSpark.pack(df, 64).createOrReplaceTempView("pdx_blocks")
     val q = ds.queries.head
     val qSql = q.map(x => s"CAST($x AS FLOAT)").mkString("array(", ", ", ")")
+    val knn = spark.sql(s"SELECT pdx_block_knn(data, n, d, ids, $qSql, 10) AS knn FROM pdx_blocks")
+    assert(knn.schema("knn").dataType.simpleString == "array<struct<id:bigint,dist:double>>")
+    knn.createOrReplaceTempView("pdx_block_knns")
     val res = spark.sql(
-      s"""SELECT r.col._1 AS id FROM (
-         |  SELECT explode(pdx_block_knn(data, n, d, ids, $qSql, 10)) AS col FROM pdx_blocks
-         |) r
-         |ORDER BY r.col._2, r.col._1 LIMIT 10""".stripMargin
+      """SELECT r.col.id AS id FROM (
+        |  SELECT explode(knn) AS col FROM pdx_block_knns
+        |) r
+        |ORDER BY r.col.dist, r.col.id LIMIT 10""".stripMargin
     ).collect().map(_.getLong(0)).toSet
     val gt = VectorData.groundTruth(vecs.toIndexedSeq, IndexedSeq(q), 10).head.toSet
     assert(res == gt)
