@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.core.Kernels.{ipUnrolled, l2Pdx, l2Unrolled}
-import repro.core.PdxLayout
+import repro.core.{PdxLayout, PdxScratch}
 import repro.data.VectorData
 
 /** Raw distance-kernel microbenchmarks — Tables 4 and 5 (§6.2).
@@ -74,58 +74,72 @@ object KernelBench {
       case IP => ipScalar(a, o, q, d)
     }
 
+  /** The PDX L1 and IP kernels stage each group's columns into `scratch`
+    * exactly as [[repro.core.Kernels.l2Pdx]] does, so Table 4's three
+    * metrics share one access pattern.
+    */
   def l1Pdx(data: Array[Float], n: Int, q: Array[Float], d0: Int, d1: Int,
-            acc: Array[Float]): Unit = {
+            scratch: PdxScratch): Unit = {
+    val acc = scratch.acc
+    val c0 = scratch.col0; val c1 = scratch.col1; val c2 = scratch.col2; val c3 = scratch.col3
     var d = d0
     while (d + 3 < d1) {
-      val off0 = d * n; val off1 = off0 + n; val off2 = off1 + n; val off3 = off2 + n
+      System.arraycopy(data, d * n, c0, 0, n)
+      System.arraycopy(data, (d + 1) * n, c1, 0, n)
+      System.arraycopy(data, (d + 2) * n, c2, 0, n)
+      System.arraycopy(data, (d + 3) * n, c3, 0, n)
       val q0 = q(d); val q1 = q(d + 1); val q2 = q(d + 2); val q3 = q(d + 3)
       var i = 0
       while (i < n) {
-        acc(i) += math.abs(q0 - data(off0 + i)) + math.abs(q1 - data(off1 + i)) +
-          math.abs(q2 - data(off2 + i)) + math.abs(q3 - data(off3 + i))
+        acc(i) += math.abs(q0 - c0(i)) + math.abs(q1 - c1(i)) +
+          math.abs(q2 - c2(i)) + math.abs(q3 - c3(i))
         i += 1
       }
       d += 4
     }
     while (d < d1) {
-      val off = d * n
+      System.arraycopy(data, d * n, c0, 0, n)
       val qd = q(d)
       var i = 0
-      while (i < n) { acc(i) += math.abs(qd - data(off + i)); i += 1 }
+      while (i < n) { acc(i) += math.abs(qd - c0(i)); i += 1 }
       d += 1
     }
   }
 
   def ipPdx(data: Array[Float], n: Int, q: Array[Float], d0: Int, d1: Int,
-            acc: Array[Float]): Unit = {
+            scratch: PdxScratch): Unit = {
+    val acc = scratch.acc
+    val c0 = scratch.col0; val c1 = scratch.col1; val c2 = scratch.col2; val c3 = scratch.col3
     var d = d0
     while (d + 3 < d1) {
-      val off0 = d * n; val off1 = off0 + n; val off2 = off1 + n; val off3 = off2 + n
+      System.arraycopy(data, d * n, c0, 0, n)
+      System.arraycopy(data, (d + 1) * n, c1, 0, n)
+      System.arraycopy(data, (d + 2) * n, c2, 0, n)
+      System.arraycopy(data, (d + 3) * n, c3, 0, n)
       val q0 = q(d); val q1 = q(d + 1); val q2 = q(d + 2); val q3 = q(d + 3)
       var i = 0
       while (i < n) {
-        acc(i) += q0 * data(off0 + i) + q1 * data(off1 + i) +
-          q2 * data(off2 + i) + q3 * data(off3 + i)
+        acc(i) += q0 * c0(i) + q1 * c1(i) + q2 * c2(i) + q3 * c3(i)
         i += 1
       }
       d += 4
     }
     while (d < d1) {
-      val off = d * n
+      System.arraycopy(data, d * n, c0, 0, n)
       val qd = q(d)
       var i = 0
-      while (i < n) { acc(i) += qd * data(off + i); i += 1 }
+      while (i < n) { acc(i) += qd * c0(i); i += 1 }
       d += 1
     }
   }
 
+  /** PDX kernel dispatch into `scratch.acc`, which the caller sizes and zeroes. */
   def pdx(metric: Metric)(data: Array[Float], n: Int, q: Array[Float],
-                          d0: Int, d1: Int, acc: Array[Float]): Unit =
+                          d0: Int, d1: Int, scratch: PdxScratch): Unit =
     metric match {
-      case L2 => l2Pdx(data, n, q, null, d0, d1, acc)
-      case L1 => l1Pdx(data, n, q, d0, d1, acc)
-      case IP => ipPdx(data, n, q, d0, d1, acc)
+      case L2 => l2Pdx(data, n, q, null, d0, d1, scratch)
+      case L1 => l1Pdx(data, n, q, d0, d1, scratch)
+      case IP => ipPdx(data, n, q, d0, d1, scratch)
     }
 
   // ------------------------------------------------------------------
@@ -185,7 +199,10 @@ object KernelBench {
     val query = VectorData.gaussian(1, combo.d, seed = 991L + combo.d).head
     val horizontal = PdxLayout.packNary(vecs)
     val blocks = PdxLayout.pack(vecs, vecs.indices.map(_.toLong), blockSize)
-    val acc = new Array[Float](blocks.map(_.n).max)
+    // One scratch for every block: the timed loop allocates nothing.
+    val scratch = new PdxScratch
+    scratch.ensureCapacity(blocks.map(_.n).max)
+    val acc = scratch.acc
     val gatherOut = new Array[Float](64)
     val minBatch = if (quick) 200_000L else 20_000_000L
     val reps = if (quick) 3 else 5
@@ -204,7 +221,7 @@ object KernelBench {
       var sink = 0f
       blocks.foreach { b =>
         java.util.Arrays.fill(acc, 0, b.n, 0f)
-        pdx(metric)(b.data, b.n, query, 0, b.d, acc)
+        pdx(metric)(b.data, b.n, query, 0, b.d, scratch)
         sink += acc(0)
       }
       BenchUtil.consume(sink)

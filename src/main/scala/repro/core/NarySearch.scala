@@ -139,25 +139,27 @@ object LinearScan {
     }
   }
 
-  /** Full distances of `q` to every vector of `block` into `acc(0 until n)`:
-    * the one whole-block PDX scan (no pruning) that the linear scans,
-    * PDXearch's START phase and IVF bucket selection share.
+  /** Full distances of `q` to every vector of `block` into
+    * `scratch.acc(0 until n)`, growing `scratch` to the block: the one
+    * whole-block PDX scan (no pruning) that the linear scans, PDXearch's
+    * START phase and IVF bucket selection share.
     */
-  def scoreBlock(block: PdxBlock, q: Array[Float], acc: Array[Float]): Unit = {
+  def scoreBlock(block: PdxBlock, q: Array[Float], scratch: PdxScratch): Unit = {
     requireQueryDims(q, block.d)
-    java.util.Arrays.fill(acc, 0, block.n, 0f)
-    Kernels.l2Pdx(block.data, block.n, q, null, 0, block.d, acc)
+    scratch.ensureCapacity(block.n)
+    java.util.Arrays.fill(scratch.acc, 0, block.n, 0f)
+    Kernels.l2Pdx(block.data, block.n, q, null, 0, block.d, scratch)
   }
 
   /** PDX linear scan: blocks of vectors, dimension-at-a-time, no pruning. */
   def pdxKnn(blocks: IterableOnce[PdxBlock], q: Array[Float], k: Int): KnnHeap = {
     val heap = new KnnHeap(k)
-    var acc = Array.emptyFloatArray
+    val scratch = new PdxScratch
     val it = blocks.iterator
     while (it.hasNext) {
       val b = it.next()
-      if (acc.length < b.n) acc = new Array[Float](b.n)
-      scoreBlock(b, q, acc)
+      scoreBlock(b, q, scratch)
+      val acc = scratch.acc
       var i = 0
       while (i < b.n) { heap.push(b.ids(i), acc(i)); i += 1 }
     }

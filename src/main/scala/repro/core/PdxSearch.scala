@@ -30,14 +30,13 @@ final class PdxSearcher(val k: Int, val profiler: SearchProfiler = null) {
   require(k > 0, s"k must be positive, got $k")
 
   private final val SelectivityThreshold = 0.2 // surviving fraction that starts PRUNE (§6.6)
-  private var acc: Array[Float] = Array.emptyFloatArray
+  private val scratch = new PdxScratch
   private var positions: Array[Int] = Array.emptyIntArray
 
-  private def ensureCapacity(n: Int): Unit =
-    if (acc.length < n) {
-      acc = new Array[Float](n)
-      positions = new Array[Int](n)
-    }
+  private def ensureCapacity(n: Int): Unit = {
+    scratch.ensureCapacity(n)
+    if (positions.length < n) positions = new Array[Int](n)
+  }
 
   /** Search the given blocks in order (for IVF: nearest buckets first). */
   def search(blocks: IterableOnce[PdxBlock], rawQuery: Array[Float],
@@ -69,10 +68,10 @@ final class PdxSearcher(val k: Int, val profiler: SearchProfiler = null) {
   /** START: full linear scan of a block (no pruning; establishes τ). */
   private def startBlock(block: PdxBlock, pq: PreparedQuery, heap: KnnHeap): Unit = {
     val n = block.n
-    ensureCapacity(n)
     val t0 = if (profiler ne null) System.nanoTime() else 0L
     // The full sum is order-independent; use the sequential scan.
-    LinearScan.scoreBlock(block, pq.query, acc)
+    LinearScan.scoreBlock(block, pq.query, scratch)
+    val acc = scratch.acc
     if (profiler ne null) {
       profiler.distanceNanos += System.nanoTime() - t0
       profiler.dimValuesScanned += n.toLong * block.d
@@ -87,6 +86,7 @@ final class PdxSearcher(val k: Int, val profiler: SearchProfiler = null) {
     val n = block.n
     val d = block.d
     ensureCapacity(n)
+    val acc = scratch.acc
     java.util.Arrays.fill(acc, 0, n, 0f)
     var i = 0
     while (i < n) { positions(i) = i; i += 1 }
@@ -104,7 +104,7 @@ final class PdxSearcher(val k: Int, val profiler: SearchProfiler = null) {
       // WARMUP while survivors are many; `alive` only shrinks, so PRUNE is final.
       val warmup = alive > cut
       var t0 = if (profiler ne null) System.nanoTime() else 0L
-      if (warmup) Kernels.l2Pdx(block.data, n, pq.query, order, visited, next, acc)
+      if (warmup) Kernels.l2Pdx(block.data, n, pq.query, order, visited, next, scratch)
       else Kernels.l2PdxPositions(block.data, n, pq.query, order, visited, next,
                                   positions, alive, acc)
       if (profiler ne null) {

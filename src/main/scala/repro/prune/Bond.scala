@@ -38,9 +38,9 @@ final class Bond(val d: Int, val criteria: Bond.Criteria = Bond.DistanceToMeans)
     def order(means: Array[Float]): Array[Int] = criteria match {
       case Bond.Sequential => null
       case Bond.Decreasing =>
-        sortDimsBy(d)(dim => math.abs(q(dim)))
+        Bond.descendingOrder(Array.tabulate(d)(dim => math.abs(q(dim))))
       case Bond.DistanceToMeans =>
-        sortDimsBy(d)(dim => math.abs(q(dim) - means(dim)))
+        Bond.descendingOrder(Array.tabulate(d)(dim => math.abs(q(dim) - means(dim))))
       case Bond.DimensionZones =>
         val nz = math.min(Bond.Zones, d)
         val zoneOf = (dim: Int) => math.min(nz - 1, dim * nz / d)
@@ -55,7 +55,7 @@ final class Bond(val d: Int, val criteria: Bond.Criteria = Bond.DistanceToMeans)
         }
         var z = 0
         while (z < nz) { if (cnt(z) > 0) score(z) /= cnt(z); z += 1 }
-        val zoneOrder = (0 until nz).sortBy(z2 => -score(z2))
+        val zoneOrder = Bond.descendingOrder(score.map(_.toFloat))
         val out = new Array[Int](d)
         var w = 0
         zoneOrder.foreach { zz =>
@@ -71,15 +71,31 @@ final class Bond(val d: Int, val criteria: Bond.Criteria = Bond.DistanceToMeans)
     def bound(partial: Float, dimsVisited: Int, vecSuffixSq: Float): Float = partial
   }
 
-  private def sortDimsBy(d: Int)(key: Int => Double): Array[Int] = {
-    val idx = Array.tabulate(d)(identity)
-    // Sort descending by key; stable tie-break on dim index for determinism.
-    idx.sortBy(dim => (-key(dim), dim))
-  }
 }
 
 object Bond {
   final val Zones = 16 // zone count of DimensionZones, capped at d
+
+  /** The indices of `keys` by descending key, ties by ascending index: the
+    * order of `sortBy(i => (-keys(i), i))` over non-negative keys, with −0.0
+    * counted as +0.0. One primitive sort of packed longs, no boxing: the
+    * high half holds the inverted raw bits of the key (the bits of a
+    * non-negative float order as its value), the low half the index.
+    */
+  private[prune] def descendingOrder(keys: Array[Float]): Array[Int] = {
+    val packed = new Array[Long](keys.length)
+    var i = 0
+    while (i < keys.length) {
+      val bits = if (keys(i) == 0f) 0 else java.lang.Float.floatToRawIntBits(keys(i))
+      packed(i) = ((~bits).toLong << 32) | i
+      i += 1
+    }
+    java.util.Arrays.sort(packed)
+    val out = new Array[Int](keys.length)
+    i = 0
+    while (i < out.length) { out(i) = packed(i).toInt; i += 1 }
+    out
+  }
 
   sealed trait Criteria { def label: String }
   case object Sequential extends Criteria { val label = "sequential" }

@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.Gen
+import repro.TestUtil
 import repro.TestUtil.forAllSampled
 import repro.bench.{ExactSearchBench, KernelBench}
 import repro.data.VectorData
@@ -11,6 +12,14 @@ class KernelsSpec extends AnyFunSuite {
   private def relTol(ref: Double, d: Int): Double = 1e-4 * (1.0 + math.abs(ref)) * math.max(1, d / 64)
 
   private val dims = Seq(1, 2, 3, 4, 5, 7, 8, 15, 16, 31, 32, 33, 64, 100, 128, 257)
+
+  /** Full `l2Pdx` distances of `q` to block `b`'s vectors, visiting `order`. */
+  private def pdxL2(b: PdxBlock, q: Array[Float], order: Array[Int]): Array[Float] = {
+    val scratch = new PdxScratch
+    scratch.ensureCapacity(b.n)
+    Kernels.l2Pdx(b.data, b.n, q, order, 0, b.d, scratch)
+    scratch.acc.take(b.n)
+  }
 
   // --- horizontal kernels vs double reference, every metric and D ---
   for (metric <- KernelBench.metrics; d <- dims) {
@@ -45,9 +54,12 @@ class KernelsSpec extends AnyFunSuite {
       val q = VectorData.gaussian(1, d, seed = bs * 101L + d).head
       val blocks = PdxLayout.pack(vecs, vecs.indices.map(_.toLong), bs)
       var idx = 0
+      val scratch = new PdxScratch
       blocks.foreach { b =>
-        val acc = new Array[Float](b.n)
-        KernelBench.pdx(metric)(b.data, b.n, q, 0, b.d, acc)
+        scratch.ensureCapacity(b.n)
+        val acc = scratch.acc
+        java.util.Arrays.fill(acc, 0, b.n, 0f)
+        KernelBench.pdx(metric)(b.data, b.n, q, 0, b.d, scratch)
         (0 until b.n).foreach { i =>
           val ref = TestKernels.ref(metric)(vecs(idx), q)
           assert(math.abs(acc(i) - ref) <= relTol(ref, d), s"vec $idx got=${acc(i)} ref=$ref")
@@ -70,11 +82,11 @@ class KernelsSpec extends AnyFunSuite {
       val vecs = VectorData.gaussian(64, d, seed = 5)
       val q = VectorData.gaussian(1, d, seed = 6).head
       val b = PdxLayout.pack(vecs, vecs.indices.map(_.toLong), 64).head
-      val whole = new Array[Float](b.n)
-      Kernels.l2Pdx(b.data, b.n, q, order, 0, d, whole)
-      val split = new Array[Float](b.n)
+      val whole = pdxL2(b, q, order)
+      val split = new PdxScratch
+      split.ensureCapacity(b.n)
       cuts.sliding(2).foreach { case Seq(j0, j1) => Kernels.l2Pdx(b.data, b.n, q, order, j0, j1, split) }
-      (0 until b.n).foreach(i => assert(math.abs(whole(i) - split(i)) <= relTol(whole(i), d), s"d=$d i=$i"))
+      (0 until b.n).foreach(i => assert(math.abs(whole(i) - split.acc(i)) <= relTol(whole(i), d), s"d=$d i=$i"))
     }
   }
 
@@ -83,13 +95,61 @@ class KernelsSpec extends AnyFunSuite {
     val vecs = VectorData.gaussian(30, d, seed = 7)
     val q = VectorData.gaussian(1, d, seed = 8).head
     val b = PdxLayout.pack(vecs, vecs.indices.map(_.toLong), 64).head
-    val seqAcc = new Array[Float](b.n)
-    Kernels.l2Pdx(b.data, b.n, q, null, 0, d, seqAcc)
+    val seqAcc = pdxL2(b, q, null)
     val order = new scala.util.Random(9).shuffle((0 until d).toVector).toArray
-    val ordAcc = new Array[Float](b.n)
-    Kernels.l2Pdx(b.data, b.n, q, order, 0, d, ordAcc)
+    val ordAcc = pdxL2(b, q, order)
     (0 until b.n).foreach { i =>
       assert(math.abs(seqAcc(i) - ordAcc(i)) <= relTol(seqAcc(i), d))
+    }
+  }
+
+  // --- the staged l2Pdx keeps the unstaged kernel's bits ---
+  for (n <- Seq(1, 2, 15, 16, 17, 63, 64, 65, 173)) {
+    test(s"l2Pdx is bit-identical to the unstaged 4-dim fold (n=$n)") {
+      val d = 19
+      val vecs = VectorData.gaussian(n, d, seed = n * 43L)
+      val q = VectorData.gaussian(1, d, seed = n * 47L).head
+      val b = PdxLayout.packOne(vecs, vecs.indices.map(_.toLong), d, withSuffixNorms = false)
+      val start = VectorData.gaussian(1, n, seed = n * 53L).head.map(math.abs)
+      val shuffled = new scala.util.Random(n).shuffle((0 until d).toVector).toArray
+      // One scratch for every range, sized past n, so stale columns and a
+      // longer acc are in play; ranges of 1–7 dims cover each tail length
+      // with and without a full group, and [0, d) the whole vector.
+      val scratch = new PdxScratch
+      scratch.ensureCapacity(n + 5)
+      for (order <- Seq(null, shuffled); len <- (1 to 7) :+ d; j0 <- Seq(0, 3, d - len).distinct
+           if j0 + len <= d) {
+        val expected = start.clone()
+        TestKernels.l2PdxUnstaged(b.data, n, q, order, j0, j0 + len, expected)
+        System.arraycopy(start, 0, scratch.acc, 0, n)
+        Kernels.l2Pdx(b.data, n, q, order, j0, j0 + len, scratch)
+        (0 until n).foreach { i =>
+          assert(java.lang.Float.floatToRawIntBits(scratch.acc(i)) ==
+                   java.lang.Float.floatToRawIntBits(expected(i)),
+                 s"ordered=${order != null} [$j0, ${j0 + len}) i=$i: ${scratch.acc(i)} vs ${expected(i)}")
+        }
+      }
+    }
+  }
+
+  test("one PdxSearcher over blocks of 173, 5 and 300 vectors equals brute force") {
+    // The searcher's scratch is sized by the first block, reused for the
+    // smaller one and grown for the last; every query reuses it again.
+    val d = 24
+    val ds = TestUtil.clustered(478, d, queries = 8, seed = 61)
+    val cuts = Seq(0, 173, 178, 478)
+    val blocks = cuts.sliding(2).map { case Seq(a, b) =>
+      PdxLayout.packOne(ds.vectors.slice(a, b), ds.ids.slice(a, b), d, withSuffixNorms = false)
+    }.toVector
+    assert(blocks.map(_.n) == Seq(173, 5, 300))
+    for (k <- Seq(1, 10)) {
+      val searcher = new PdxSearcher(k)
+      ds.queries.foreach { q =>
+        TestUtil.assertExactKnn(searcher.search(blocks, q, TestPruners.PartialDistance(d)).sorted,
+                                ds.vectors, q, k)
+        TestUtil.assertExactKnn(searcher.search(blocks, q, TestPruners.NeverPrune(d)).sorted,
+                                ds.vectors, q, k)
+      }
     }
   }
 
@@ -186,8 +246,7 @@ class KernelsSpec extends AnyFunSuite {
       val blocks = PdxLayout.pack(vecs, vecs.indices.map(_.toLong), 16)
       var idx = 0
       blocks.foreach { b =>
-        val acc = new Array[Float](b.n)
-        Kernels.l2Pdx(b.data, b.n, q, null, 0, d, acc)
+        val acc = pdxL2(b, q, null)
         (0 until b.n).foreach { i =>
           val h = Kernels.l2Unrolled(nary, idx * d, q, 0, d)
           assert(math.abs(acc(i) - h) <= 1e-2 * (1 + math.abs(h)))

@@ -192,8 +192,9 @@ class IvfSpec extends AnyFunSuite {
     val allPdx = PdxLayout.packOne(centroids.toIndexedSeq, (0 until nlist).map(_.toLong), d,
                                    withSuffixNorms = false)
     def expected(q: Array[Float], nprobe: Int): Seq[Int] = {
-      val dists = new Array[Float](nlist)
-      LinearScan.scoreBlock(allPdx, q, dists)
+      val scratch = new PdxScratch
+      LinearScan.scoreBlock(allPdx, q, scratch)
+      val dists = scratch.acc
       (0 until nlist).sortBy(c => (dists(c), c)).filter(idx.bucketOf(_) >= 0).take(nprobe)
     }
 

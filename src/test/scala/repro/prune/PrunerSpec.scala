@@ -1,7 +1,9 @@
 package repro.prune
 
+import org.scalacheck.Gen
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
+import repro.TestUtil.forAllSampled
 import repro.core.{Kernels, NaryBucket, NarySearcher, PdxLayout, PdxSearcher, Pruner, TestPruners}
 import repro.data.VectorData
 import repro.linalg.TestMats
@@ -361,6 +363,50 @@ class PrunerSpec extends AnyFunSuite {
     val means = Array.tabulate(d)(dim => (dim / 2).toFloat)
     val order = new Bond(d, Bond.DimensionZones).prepareQuery(q).order(means)
     assert(order.toSeq == (15 to 0 by -1).flatMap(z => Seq(2 * z, 2 * z + 1)))
+  }
+
+  /** Bond's orders as they were computed before `Bond.descendingOrder`:
+    * a boxed `sortBy` over (−key, index) tuples.
+    */
+  private def boxedOrder(crit: Bond.Criteria, q: Array[Float], means: Array[Float]): Seq[Int] = {
+    val d = q.length
+    def byKey(n: Int)(key: Int => Double) = (0 until n).sortBy(i => (-key(i), i))
+    crit match {
+      case Bond.Decreasing => byKey(d)(dim => math.abs(q(dim)))
+      case Bond.DistanceToMeans => byKey(d)(dim => math.abs(q(dim) - means(dim)))
+      case Bond.DimensionZones =>
+        val nz = math.min(Bond.Zones, d)
+        val zoneOf = (dim: Int) => math.min(nz - 1, dim * nz / d)
+        val score = new Array[Double](nz)
+        val cnt = new Array[Int](nz)
+        (0 until d).foreach { dim => score(zoneOf(dim)) += math.abs(q(dim) - means(dim)); cnt(zoneOf(dim)) += 1 }
+        (0 until nz).foreach(z => score(z) /= cnt(z))
+        (0 until nz).sortBy(z => -score(z)).flatMap(z => (0 until d).filter(zoneOf(_) == z))
+      case Bond.Sequential => sys.error("Sequential has no order")
+    }
+  }
+
+  test("property: Bond orders equal the boxed (-key, dim) sort, with ties and signed zeros") {
+    // Few distinct values, ±0.0 among them, so keys tie often and a
+    // difference q − mean is −0.0 or +0.0.
+    val value = Gen.frequency(3 -> Gen.oneOf(0f, -0f, 1f, -1f, 0.5f, -2.5f), 1 -> Gen.choose(-3f, 3f))
+    val input = for {
+      d <- Gen.choose(1, 40)
+      q <- Gen.listOfN(d, value)
+      means <- Gen.listOfN(d, value)
+    } yield (q.toArray, means.toArray)
+    forAllSampled(input, samples = 200) { case (q, means) =>
+      for (crit <- Seq(Bond.Decreasing, Bond.DistanceToMeans, Bond.DimensionZones)) {
+        val got = new Bond(q.length, crit).prepareQuery(q).order(means).toSeq
+        assert(got == boxedOrder(crit, q, means), s"${crit.label} q=${q.toSeq} means=${means.toSeq}")
+      }
+    }
+  }
+
+  test("descendingOrder ranks keys high first, ties and -0.0 == +0.0 by index") {
+    assert(Bond.descendingOrder(Array(0f, -0f, 1f, -0f, 1f, Float.MinPositiveValue)).toSeq ==
+             Seq(2, 4, 5, 0, 1, 3))
+    assert(Bond.descendingOrder(Array.emptyFloatArray).isEmpty)
   }
 
   test("Bond order is a pure function of the means it is given") {

@@ -92,8 +92,21 @@ def host_info():
     # The IVF build runs on every CPU the process may use, so setup_s depends
     # on usable_cpus (the affinity mask), which can be fewer than cpus.
     return {"node": platform.node(), "cpu": cpu, "cpus": os.cpu_count(),
-            "usable_cpus": len(os.sched_getaffinity(0)),
+            "usable_cpus": len(os.sched_getaffinity(0)), "jdk": jdk_version(),
             "os": platform.platform(), "python": platform.python_version()}
+
+
+def jdk_version():
+    """The first line of `java -version`, for the java that perfbench/run.py
+    starts ($JAVA_HOME/bin/java when JAVA_HOME is set): which loops the JIT
+    vectorizes, and so the kernels' speed, depends on the JDK."""
+    java = os.path.join(os.environ["JAVA_HOME"], "bin", "java") if "JAVA_HOME" in os.environ else "java"
+    try:
+        proc = subprocess.run([java, "-version"], capture_output=True, text=True)
+    except OSError as e:
+        return "unknown (%s)" % e
+    lines = (proc.stderr or proc.stdout).strip().split("\n")
+    return lines[0] if lines[0] else "unknown"
 
 
 def both_exited_0(pair):
