@@ -55,6 +55,7 @@ final class Bond(val d: Int, val criteria: Bond.Criteria = Bond.DistanceToMeans)
         }
         var z = 0
         while (z < nz) { if (cnt(z) > 0) score(z) /= cnt(z); z += 1 }
+        // Ranked as floats: zones whose mean scores round to one float tie.
         val zoneOrder = Bond.descendingOrder(score.map(_.toFloat))
         val out = new Array[Int](d)
         var w = 0
@@ -70,7 +71,6 @@ final class Bond(val d: Int, val criteria: Bond.Criteria = Bond.DistanceToMeans)
 
     def bound(partial: Float, dimsVisited: Int, vecSuffixSq: Float): Float = partial
   }
-
 }
 
 object Bond {
