@@ -9,8 +9,8 @@ package repro.core
   * C2 auto-vectorizes that inner loop (the JVM analog of the paper's LLVM
   * auto-vectorization) only when every array it touches is read and written
   * at the same index, so [[l2Pdx]] first copies its columns into a
-  * [[PdxScratch]] (see [[l2Pdx]]; 0.19–0.50 ns per dimension value instead of
-  * 0.45–0.93 on an AVX-512 Xeon). [[l2PdxPositions]] gathers scattered
+  * [[PdxScratch]] (0.19–0.50 ns per dimension value instead of 0.45–0.93
+  * on an AVX-512 Xeon). [[l2PdxPositions]] gathers scattered
   * positions and stays scalar. The horizontal kernels model the
   * conventional vector-at-a-time scan; `l2Unrolled` (4 independent
   * accumulators) is our stand-in for the paper's hand-SIMDized horizontal
