@@ -118,21 +118,36 @@ object ExactSearchBench {
     heap
   }
 
-  /** Queries per second of `f` over `queries`: one warmup pass, then whole
-    * passes until at least `minNs` have elapsed.
+  /** Timed rounds per measurement: with six layouts, each runs first once. */
+  private final val Rounds = 6
+
+  /** Queries per second of each of `fs` over `queries`, measured round-robin
+    * so that a slow spell of the host falls on every layout alike: one
+    * warm-up pass of each, then [[Rounds]] rounds in which each runs whole
+    * passes (at least one) until `minNs / Rounds` have elapsed. Round r
+    * starts with `fs(r % fs.length)` and goes on in list order. A layout's
+    * QPS is the median of its rounds.
     */
   private def measureQps(queries: IndexedSeq[Array[Float]], minNs: Long)(
-      f: Array[Float] => Unit): Double = {
-    queries.foreach(f)
-    val t0 = System.nanoTime()
-    var reps = 0
-    var elapsed = 0L
-    while (elapsed < minNs) {
-      queries.foreach(f)
-      reps += 1
-      elapsed = System.nanoTime() - t0
+      fs: (Array[Float] => Unit)*): Seq[Double] = {
+    fs.foreach(f => queries.foreach(f))
+    val perRound = Array.ofDim[Double](fs.length, Rounds)
+    for (r <- 0 until Rounds; j <- fs.indices) {
+      val f = (r + j) % fs.length
+      val t0 = System.nanoTime()
+      var reps = 0
+      var elapsed = 0L
+      while (elapsed < minNs / Rounds) {
+        queries.foreach(fs(f))
+        reps += 1
+        elapsed = System.nanoTime() - t0
+      }
+      perRound(f)(r) = queries.length.toLong * reps * 1e9 / elapsed
     }
-    queries.length.toLong * reps * 1e9 / elapsed
+    perRound.toSeq.map { qps =>
+      java.util.Arrays.sort(qps)
+      (qps((Rounds - 1) / 2) + qps(Rounds / 2)) / 2
+    }
   }
 
   final case class Row(dataset: String, qps: Map[String, Double]) {
@@ -155,17 +170,16 @@ object ExactSearchBench {
       val bond = new Bond(d, Bond.DistanceToMeans)
       val searcher = new PdxSearcher(k)
 
-      val qpsOf = measureQps(queries, if (quick) 50_000_000L else 400_000_000L) _
-
-      val qps = Map(
-        "nary" -> qpsOf(q => BenchUtil.consume(naryKnn(nary, n, d, q, k).threshold)),
-        "nary-scalar" -> qpsOf(q => BenchUtil.consume(naryScalarKnn(nary, n, d, q, k).threshold)),
-        "dsm" -> qpsOf(q => BenchUtil.consume(dsmKnn(dsm, n, q, k).threshold)),
-        "gather" -> qpsOf(q => BenchUtil.consume(gatherKnn(nary, n, d, q, k).threshold)),
-        "pdx-linear" -> qpsOf(q => BenchUtil.consume(LinearScan.pdxKnn(blocks64, q, k).threshold)),
-        "pdx-bond" -> qpsOf(q => BenchUtil.consume(searcher.search(bondBlocks, q, bond).threshold)),
+      // In the order of `competitors`.
+      val qps = measureQps(queries, if (quick) 50_000_000L else 400_000_000L)(
+        q => BenchUtil.consume(naryKnn(nary, n, d, q, k).threshold),
+        q => BenchUtil.consume(naryScalarKnn(nary, n, d, q, k).threshold),
+        q => BenchUtil.consume(dsmKnn(dsm, n, q, k).threshold),
+        q => BenchUtil.consume(gatherKnn(nary, n, d, q, k).threshold),
+        q => BenchUtil.consume(LinearScan.pdxKnn(blocks64, q, k).threshold),
+        q => BenchUtil.consume(searcher.search(bondBlocks, q, bond).threshold),
       )
-      Row(spec.label, qps)
+      Row(spec.label, competitors.zip(qps).toMap)
     }
 
     val table = BenchUtil.markdownTable(
@@ -191,9 +205,9 @@ object ExactSearchBench {
       val queries = VectorData.gaussian(5, d, seed = 4321L + n)
       val dsm = packDsm(vecs)
       val blocks = PdxLayout.pack(vecs, vecs.indices.map(_.toLong), 64)
-      val qpsOf = measureQps(queries, 300_000_000L) _
-      val dsmQps = qpsOf(q => BenchUtil.consume(dsmKnn(dsm, n, q, BenchConfig.K).threshold))
-      val pdxQps = qpsOf(q => BenchUtil.consume(LinearScan.pdxKnn(blocks, q, BenchConfig.K).threshold))
+      val Seq(dsmQps, pdxQps) = measureQps(queries, 300_000_000L)(
+        q => BenchUtil.consume(dsmKnn(dsm, n, q, BenchConfig.K).threshold),
+        q => BenchUtil.consume(LinearScan.pdxKnn(blocks, q, BenchConfig.K).threshold))
       n -> pdxQps / dsmQps
     }
     val table = BenchUtil.markdownTable(

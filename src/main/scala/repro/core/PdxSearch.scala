@@ -13,8 +13,9 @@ package repro.core
   *    §6.6), only the survivors' positions are scanned.
   *
   * Each block keeps one survivor list, its positions in index order. After
-  * every step one pass evaluates the bound and compacts the list; WARMUP and
-  * PRUNE differ only in the kernel that fills the next step. Survivors that
+  * every step one branchless pass, the same for every pruner, evaluates
+  * `pq.bound` and compacts the list; WARMUP and PRUNE differ only in the
+  * kernel that fills the next step. Survivors that
   * reach the last dimension carry their exact distance (rotations preserve
   * L2) and are merged into the heap, tightening τ for the following blocks.
   * The dimension order is asked for once per search, from the first block
@@ -114,26 +115,17 @@ final class PdxSearcher(val k: Int, val profiler: SearchProfiler = null) {
       visited = next
       step *= 2
       if (visited < d) {
-        // Keep a position iff !(bound > τ), compacting the list in place.
+        // Keep a position iff !(bound > τ), compacting the list in place. The
+        // write is unconditional, so the loop has no data-dependent branch.
         t0 = if (profiler ne null) System.nanoTime() else 0L
         var w = 0
         var p = 0
-        if (pq.isPartialBound) {
-          // PDX-BOND fast path: the bound IS the accumulated distance.
-          // The write is unconditional, so the loop has no data-dependent branch.
-          while (p < alive) {
-            val pos = positions(p)
-            positions(w) = pos
-            w += (if (acc(pos) > tau) 0 else 1)
-            p += 1
-          }
-        } else {
-          while (p < alive) {
-            val pos = positions(p)
-            val vs = if (hasSuffix) suffix(pos * stride + visited) else 0f
-            if (!(pq.bound(acc(pos), visited, vs) > tau)) { positions(w) = pos; w += 1 }
-            p += 1
-          }
+        while (p < alive) {
+          val pos = positions(p)
+          val vs = if (hasSuffix) suffix(pos * stride + visited) else 0f
+          positions(w) = pos
+          w += (if (pq.bound(acc(pos), visited, vs) > tau) 0 else 1)
+          p += 1
         }
         if (profiler ne null) {
           profiler.boundsNanos += System.nanoTime() - t0

@@ -40,14 +40,6 @@ trait PreparedQuery {
     * 0 = prune from the first step.
     */
   def minPruneDims: Int = 0
-
-  /** True when `bound(p, dv, s) == p` for all inputs (PDX-BOND's
-    * partial-distance bound). The searcher then compares the accumulated
-    * distance against τ directly in its predicate loops — the manual
-    * monomorphization HotSpot needs where the paper's C++ gets inlining
-    * from templates.
-    */
-  def isPartialBound: Boolean = false
 }
 
 /** A dimension-pruning strategy: data-space transform + per-query bound.

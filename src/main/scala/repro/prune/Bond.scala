@@ -5,7 +5,7 @@ import repro.core.{LinearScan, PreparedQuery, Pruner}
 /** PDX-BOND (§5): exact dimension pruning on raw vectors.
   *
   * The bound is just the partially computed distance (monotone in the number
-  * of visited dims ⇒ exact, zero bound-evaluation latency). Its pruning
+  * of visited dims ⇒ exact; it costs no arithmetic of its own). Its pruning
   * power comes from the query-aware order in which dimensions are visited:
   *
   *  - [[Bond.Sequential]]       storage order (baseline);
@@ -32,8 +32,6 @@ final class Bond(val d: Int, val criteria: Bond.Criteria = Bond.DistanceToMeans)
   def prepareQuery(q: Array[Float]): PreparedQuery = new PreparedQuery {
     LinearScan.requireQueryDims(q, d)
     val query: Array[Float] = q
-
-    override def isPartialBound: Boolean = true
 
     def order(means: Array[Float]): Array[Int] = criteria match {
       case Bond.Sequential => null

@@ -39,6 +39,35 @@ class PdxSearchSpec extends AnyFunSuite {
     }
   }
 
+  test("PDX-BOND(sequential) and PartialDistance make the same decisions: same heap, same counts") {
+    // Both bounds are the partial distance, so the one compaction loop keeps
+    // the same survivors for both: equal answers, and equal counts of values
+    // scanned and bounds evaluated. d = 13 leaves a 1-dimension kernel tail.
+    val d = 13
+    val sizes = Seq(16, 173, 16, 173, 173, 16, 173)
+    val ds = clustered(sizes.sum, d, queries = 8, seed = 61)
+    val starts = sizes.scanLeft(0)(_ + _)
+    val blocks = sizes.indices.map { b =>
+      val range = starts(b) until starts(b + 1)
+      PdxLayout.packOne(range.map(ds.vectors), range.map(ds.ids), d, withSuffixNorms = false)
+    }
+    assert(blocks.map(_.n) == sizes)
+    for (k <- Seq(1, 10); q <- ds.queries) {
+      val Seq((bondHeap, bondProf), (partialHeap, partialProf)) =
+        Seq[Pruner](new Bond(d, Bond.Sequential), TestPruners.PartialDistance(d)).map { pruner =>
+          val prof = new SearchProfiler
+          (new PdxSearcher(k, prof).search(blocks, q, pruner).sorted, prof)
+        }
+      val bits = (h: Seq[(Long, Float)]) => h.map { case (id, dist) => (id, java.lang.Float.floatToRawIntBits(dist)) }
+      assert(bits(bondHeap) == bits(partialHeap))
+      assert(bondProf.dimValuesScanned == partialProf.dimValuesScanned)
+      assert(bondProf.boundEvals == partialProf.boundEvals)
+      assert(bondProf.boundEvals > 0 && bondProf.dimValuesScanned < sizes.sum.toLong * d,
+             s"k=$k: nothing was pruned")
+      TestUtil.assertExactKnn(bondHeap, ds.vectors, q, k)
+    }
+  }
+
   test("PDXearch + NeverPrune equals a PDX linear scan") {
     val d = 20
     val ds = clustered(500, d, queries = 8, seed = 11)

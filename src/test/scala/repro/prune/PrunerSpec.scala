@@ -419,13 +419,20 @@ class PrunerSpec extends AnyFunSuite {
   }
 
   test("Bond bound is the partial distance itself") {
-    val pq = new Bond(4).prepareQuery(Array(1f, 2f, 3f, 4f))
-    assert(pq.bound(3.25f, 2, 0f) == 3.25f)
+    // PDXearch's one compaction loop compares bound(acc, dv, 0) with τ, so
+    // Bond is exact only if that bound has the partial distance's own bits.
+    val d = 7
+    val pq = new Bond(d).prepareQuery(Array.tabulate(d)(_.toFloat))
+    for (dv <- 1 until d; p <- Seq(0f, Float.MinPositiveValue, 3.25f, 1e30f)) {
+      val b = pq.bound(p, dv, 0f)
+      assert(java.lang.Float.floatToRawIntBits(b) == java.lang.Float.floatToRawIntBits(p),
+             s"dv=$dv partial=$p bound=$b")
+    }
   }
 
   test("Bond is exact, needs no transform or suffix norms") {
     val b = new Bond(4)
-    assert(b.prepareQuery(new Array[Float](4)).isPartialBound && !b.needsSuffixNorms)
+    assert(!b.needsSuffixNorms)
     val vecs = VectorData.gaussian(2, 4, seed = 33)
     assert(b.transformData(vecs) eq vecs)
   }

@@ -32,7 +32,10 @@ listed under "excluded_pairs" and on stderr. The change side is named by its
 commit and, when the working tree has uncommitted changes, by a SHA-256 as
 well: of `git diff HEAD`, followed by the path and contents of every
 untracked file that .gitignore does not exclude.
-perfbench's own log lines go to stderr.
+perfbench's own log lines go to stderr, and so does a closing summary: one
+line per metric with both medians, the change's pair wins and the JSON's two
+flags, worse_than_bound and median_diff_exceeds_base_iqr, so that a check
+that claims nothing can read its verdict from the log.
 """
 
 import argparse
@@ -240,8 +243,10 @@ def main():
             for side in ("base", "change"))), file=sys.stderr)
     for name, m in report["metrics"].items():
         if m.get("pairs"):
-            print("  %-28s base %12.6g  change %12.6g  change wins %d/%d"
-                  % (name, m["base"]["median"], m["change"]["median"], m["change_wins"], m["pairs"]),
+            print("  %-28s base %12.6g  change %12.6g  change wins %d/%d  worse_than_bound %s"
+                  "  median_diff_exceeds_base_iqr %s"
+                  % (name, m["base"]["median"], m["change"]["median"], m["change_wins"], m["pairs"],
+                     m["worse_than_bound"], m["median_diff_exceeds_base_iqr"]),
                   file=sys.stderr)
 
 
