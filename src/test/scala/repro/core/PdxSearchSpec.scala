@@ -58,7 +58,7 @@ class PdxSearchSpec extends AnyFunSuite {
           val prof = new SearchProfiler
           (new PdxSearcher(k, prof).search(blocks, q, pruner).sorted, prof)
         }
-      val bits = (h: Seq[(Long, Float)]) => h.map { case (id, dist) => (id, java.lang.Float.floatToRawIntBits(dist)) }
+      val bits = (h: Seq[(Long, Float)]) => h.map { case (id, x) => (id, java.lang.Float.floatToRawIntBits(x)) }
       assert(bits(bondHeap) == bits(partialHeap))
       assert(bondProf.dimValuesScanned == partialProf.dimValuesScanned)
       assert(bondProf.boundEvals == partialProf.boundEvals)
