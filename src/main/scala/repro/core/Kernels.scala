@@ -11,10 +11,12 @@ package repro.core
   * at the same index, so [[l2Pdx]] first copies its columns into a
   * [[PdxScratch]] (0.19–0.50 ns per dimension value instead of 0.45–0.93
   * on an AVX-512 Xeon). [[l2PdxPositions]] gathers scattered
-  * positions and stays scalar. The horizontal kernels model the
-  * conventional vector-at-a-time scan; `l2Unrolled` (4 independent
-  * accumulators) is our stand-in for the paper's hand-SIMDized horizontal
-  * kernels, since a plain scalar reduction is the worst case on any ISA.
+  * positions and stays scalar; [[l2PdxLane]] is one lane of the full scan,
+  * for the few distances k-means' bounds leave to score. The horizontal
+  * kernels model the conventional vector-at-a-time scan; `l2Unrolled` (4
+  * independent accumulators) is our stand-in for the paper's hand-SIMDized
+  * horizontal kernels, since a plain scalar reduction is the worst case on
+  * any ISA.
   * The forms only the evaluation measures (the scalar, L1 and IP kernels of
   * Tables 4–5, N-ary+Gather, DSM) live in [[repro.bench.KernelBench]] and
   * [[repro.bench.ExactSearchBench]].
@@ -142,6 +144,28 @@ object Kernels {
       while (i < n) { val t = qd - c0(i); acc(i) += t * t; i += 1 }
       j += 1
     }
+  }
+
+  /** One lane of a full sequential [[l2Pdx]] scan: the float that scan
+    * leaves in the lane of a vector `data` (`q.length` values) when it scores
+    * `q` against it, by the same 4-dimension fold in the same order, so the
+    * bits are equal. k-means scores the few centroids its bounds cannot rule
+    * out with it, each one contiguous, instead of a whole centroid block.
+    */
+  def l2PdxLane(data: Array[Float], q: Array[Float]): Float = {
+    val d = q.length
+    var acc = 0f
+    var j = 0
+    while (j + 3 < d) {
+      val t0 = q(j) - data(j)
+      val t1 = q(j + 1) - data(j + 1)
+      val t2 = q(j + 2) - data(j + 2)
+      val t3 = q(j + 3) - data(j + 3)
+      acc += t0 * t0 + t1 * t1 + t2 * t2 + t3 * t3
+      j += 4
+    }
+    while (j < d) { val t = q(j) - data(j); acc += t * t; j += 1 }
+    acc
   }
 
   /** PRUNE-phase PDX L2: only the surviving positions are touched.

@@ -11,11 +11,13 @@ final case class IvfPartition(nlist: Int, assign: Array[Int],
 
 object Ivf {
 
-  /** Run Lloyd k-means on raw vectors and assign each to its bucket. */
+  /** Run Lloyd k-means on raw vectors; each vector's bucket is its nearest
+    * final centroid, from the fit's last assignment pass.
+    */
   def partition(vecs: IndexedSeq[Array[Float]], nlist: Int, iters: Int = 10,
                 seed: Long = 23): IvfPartition = {
-    val model = KMeans.fit(vecs, nlist, iters, seed)
-    IvfPartition(nlist, model.assignAll(vecs), model.centroids)
+    val fit = KMeans.fit(vecs, nlist, iters, seed)
+    IvfPartition(nlist, fit.assignment, fit.model.centroids)
   }
 }
 

@@ -132,6 +132,27 @@ class KernelsSpec extends AnyFunSuite {
     }
   }
 
+  // --- l2PdxLane returns one lane of the block scan, bit for bit ---
+  for (d <- (1 to 9) ++ Seq(13, 128, 768)) {
+    test(s"l2PdxLane equals scoreBlock's acc bit for bit at d=$d, on random and tied data") {
+      val n = 37
+      val random = VectorData.gaussian(n, d, seed = d * 59L)
+      // Small integers: duplicate vectors and many equal distances.
+      val rnd = new java.util.Random(d * 61L)
+      val tied = IndexedSeq.fill(n)(Array.fill(d)((rnd.nextInt(3) - 1).toFloat))
+      val scratch = new PdxScratch
+      for ((kind, vecs) <- Seq("random" -> random, "tied" -> tied); q <- vecs.take(4) :+ random.last) {
+        val b = PdxLayout.packOne(vecs, vecs.indices.map(_.toLong), d, withSuffixNorms = false)
+        LinearScan.scoreBlock(b, q, scratch)
+        (0 until n).foreach { i =>
+          val lane = Kernels.l2PdxLane(vecs(i), q)
+          assert(java.lang.Float.floatToRawIntBits(lane) == java.lang.Float.floatToRawIntBits(scratch.acc(i)),
+                 s"$kind i=$i: $lane vs ${scratch.acc(i)}")
+        }
+      }
+    }
+  }
+
   test("one PdxSearcher over blocks of 173, 5 and 300 vectors equals brute force") {
     // The searcher's scratch is sized by the first block, reused for the
     // smaller one and grown for the last; every query reuses it again.

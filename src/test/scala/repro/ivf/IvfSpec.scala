@@ -13,14 +13,14 @@ class IvfSpec extends AnyFunSuite {
 
   test("KMeans is deterministic in (data, k, seed)") {
     val vecs = clustered(300, 8, queries = 6, seed = 1).vectors
-    val a = KMeans.fit(vecs, 5, seed = 9)
-    val b = KMeans.fit(vecs, 5, seed = 9)
+    val a = KMeans.fit(vecs, 5, seed = 9).model
+    val b = KMeans.fit(vecs, 5, seed = 9).model
     a.centroids.zip(b.centroids).foreach { case (x, y) => assert(x.toSeq == y.toSeq) }
   }
 
   test("KMeans.assign returns the nearest centroid") {
     val vecs = clustered(200, 6, queries = 6, seed = 2).vectors
-    val model = KMeans.fit(vecs, 4, seed = 3)
+    val model = KMeans.fit(vecs, 4, seed = 3).model
     vecs.take(50).foreach { v =>
       val got = model.assign(v)
       val dists = model.centroids.map(c => Kernels.l2Ref(c, v))
@@ -36,14 +36,14 @@ class IvfSpec extends AnyFunSuite {
       val c = centers(i % 3)
       Array((c(0) + rnd.nextGaussian() * 0.1).toFloat, (c(1) + rnd.nextGaussian() * 0.1).toFloat)
     }
-    val model = KMeans.fit(vecs, 3, iters = 15, seed = 7)
+    val model = KMeans.fit(vecs, 3, iters = 15, seed = 7).model
     val inertia = vecs.map(v => Kernels.l2Ref(model.centroids(model.assign(v)), v)).sum / vecs.length
     assert(inertia < 1.0, s"inertia $inertia")
   }
 
   test("KMeans keeps k centroids even with duplicate points") {
     val vecs = IndexedSeq.fill(50)(Array(1f, 1f)) ++ IndexedSeq.fill(50)(Array(5f, 5f))
-    val model = KMeans.fit(vecs, 4, seed = 11)
+    val model = KMeans.fit(vecs, 4, seed = 11).model
     assert(model.centroids.length == 4)
   }
 
@@ -74,9 +74,10 @@ class IvfSpec extends AnyFunSuite {
   }
 
   test("KMeans.assignAll is assign of every vector") {
+    // assignAll is the reference Lloyd's full pass (ReferenceLloyd).
     val vecs = clustered(2000, 16, queries = 6, seed = 6).vectors
-    val model = KMeans.fit(vecs, 12, iters = 3, seed = 8)
-    val all = model.assignAll(vecs)
+    val model = KMeans.fit(vecs, 12, iters = 3, seed = 8).model
+    val all = ReferenceLloyd.assignAll(model, vecs)
     assert(all.length == vecs.length)
     vecs.indices.foreach(i => assert(all(i) == model.assign(vecs(i)), s"vector $i"))
   }
@@ -84,24 +85,113 @@ class IvfSpec extends AnyFunSuite {
   for ((kind, len) <- Seq("longer" -> 17, "shorter" -> 15)) {
     test(s"KMeans.assign and assignAll reject a $kind vector than the centroids, assignAll naming it") {
       val vecs = clustered(60, 16, queries = 6, seed = 7).vectors.toVector
-      val model = KMeans.fit(vecs, 4, iters = 2, seed = 9)
+      val model = KMeans.fit(vecs, 4, iters = 2, seed = 9).model
       val bad = Array.tabulate(len)(j => if (j < 16) vecs(0)(j) else 1f)
       val e1 = intercept[IllegalArgumentException](model.assign(bad))
       assert(e1.getMessage.contains(s"the vector has $len dimensions but the centroids have 16"), e1.getMessage)
-      val e2 = intercept[IllegalArgumentException](model.assignAll(vecs.updated(41, bad)))
+      val e2 = intercept[IllegalArgumentException](ReferenceLloyd.assignAll(model, vecs.updated(41, bad)))
       assert(e2.getMessage.contains(s"vector 41 has $len dimensions but the centroids have 16"), e2.getMessage)
     }
   }
 
   test("KMeans.fit and Ivf.partition give the same bits in pools of 1 and 3 threads and the common pool") {
     val vecs = clustered(3000, 24, queries = 6, seed = 10, skewed = true).vectors
-    val fits = TestUtil.inPools(KMeans.fit(vecs, 20, seed = 12).centroids)
+    val fits = TestUtil.inPools(KMeans.fit(vecs, 20, seed = 12).model.centroids)
     val parts = TestUtil.inPools(Ivf.partition(vecs, 20, seed = 12))
     for (centroids <- fits.tail ++ parts.map(_.rawCentroids); c <- 0 until 20)
       assert(java.util.Arrays.equals(centroids(c), fits.head(c)), s"centroid $c")
     parts.tail.foreach(p => assert(java.util.Arrays.equals(p.assign, parts.head.assign)))
     val model = KMeans.Model(fits.head)
     vecs.indices.foreach(i => assert(parts.head.assign(i) == model.assign(vecs(i)), s"vector $i"))
+  }
+
+  test("KMeans.fit and Ivf.partition reject a negative iteration count, naming it") {
+    val vecs = clustered(60, 6, queries = 6, seed = 8).vectors
+    for (iters <- Seq(-1, -10)) {
+      val calls = Seq[() => Any](() => KMeans.fit(vecs, 3, iters), () => Ivf.partition(vecs, 3, iters))
+      calls.foreach { call =>
+        val e = intercept[IllegalArgumentException](call())
+        assert(e.getMessage.contains(s"k-means: iters must be non-negative, got $iters"), e.getMessage)
+      }
+    }
+  }
+
+  // ---------------- the bounded fit against plain Lloyd ----------------
+
+  /** Ivf.partition in pools of 1 and 3 threads and the common pool gives the
+    * reference Lloyd's centroids and assignment, bit for bit.
+    */
+  private def assertSameAsLloyd(what: String, vecs: IndexedSeq[Array[Float]], k: Int, iters: Int,
+                                seed: Long = 3): Unit = {
+    val ref = ReferenceLloyd.partition(vecs, k, iters, seed)
+    for (part <- TestUtil.inPools(Ivf.partition(vecs, k, iters, seed))) {
+      for (c <- 0 until k)
+        assert(java.util.Arrays.equals(part.rawCentroids(c), ref.rawCentroids(c)), s"$what: centroid $c")
+      val diff = vecs.indices.find(i => part.assign(i) != ref.assign(i))
+      assert(diff.isEmpty, s"$what: vector ${diff.getOrElse(-1)} assigned ${diff.map(part.assign)} " +
+                           s"instead of ${diff.map(ref.assign)}")
+    }
+  }
+
+  for (d <- Seq(1, 3, 5, 13, 128, 768); skewed <- Seq(false, true)) {
+    val kind = if (skewed) "skewed" else "normal"
+    test(s"KMeans.fit equals plain Lloyd bit for bit on $kind data at d=$d, k in {1, 2, n}, iters in {0, 1, 10}") {
+      val n = if (d >= 768) 60 else if (d >= 128) 100 else 200
+      val vecs = clustered(n, d, queries = 6, seed = d * 7L + 1, skewed = skewed).vectors
+      for (k <- Seq(1, 2, n); iters <- Seq(0, 1, 10))
+        assertSameAsLloyd(s"k=$k iters=$iters", vecs, k, iters)
+    }
+  }
+
+  test("KMeans.fit equals plain Lloyd on many clusters, where the bounds skip most distances") {
+    val vecs = clustered(2000, 128, queries = 6, seed = 15, skewed = true).vectors
+    assertSameAsLloyd("n=2000 d=128", vecs, 40, 10, seed = 16)
+  }
+
+  test("KMeans.fit equals plain Lloyd with duplicate points and exact distance ties") {
+    // Integer points in {0, 1, 2}^d: many duplicates, and centroids (means of
+    // small integer sets) at exactly equal distances from many points.
+    for (d <- Seq(2, 3, 5); k <- Seq(2, 7, 40)) {
+      val rnd = new java.util.Random(d * 31L + k)
+      val vecs = IndexedSeq.fill(300)(Array.fill(d)(rnd.nextInt(3).toFloat))
+      assertSameAsLloyd(s"d=$d k=$k", vecs, k, 10, seed = k)
+    }
+  }
+
+  test("KMeans.fit equals plain Lloyd when clusters empty out and are reseeded, and on vectors equal to a centroid") {
+    // Two distinct points: most of the k clusters empty out in every pass,
+    // and every vector sits exactly on a centroid.
+    val twoPoints = IndexedSeq.fill(50)(Array(1f, 1f)) ++ IndexedSeq.fill(50)(Array(5f, 5f))
+    for (k <- Seq(2, 4, 30)) assertSameAsLloyd(s"two points k=$k", twoPoints, k, 10, seed = 11)
+    val threePoints = IndexedSeq.tabulate(90)(i => Array.fill(13)((i % 3).toFloat))
+    assertSameAsLloyd("three points k=20", threePoints, 20, 10, seed = 5)
+  }
+
+  test("KMeans.fit equals plain Lloyd on values near 1e19, whose float squared distances overflow") {
+    for (d <- Seq(1, 3, 5)) {
+      val vecs = VectorData.gaussian(200, d, seed = d.toLong).map(_.map(_ * 1e19f))
+      val scratch = new PdxScratch
+      val block = PdxLayout.packOne(vecs, vecs.indices.map(_.toLong), d, withSuffixNorms = false)
+      LinearScan.scoreBlock(block, vecs.head, scratch)
+      assert(scratch.acc.take(200).exists(_.isPosInfinity), s"d=$d: some distance overflows")
+      assert(scratch.acc.take(200).exists(f => f > 0f && !f.isInfinite), s"d=$d: some does not")
+      for (k <- Seq(2, 8)) assertSameAsLloyd(s"d=$d k=$k", vecs, k, 10, seed = k)
+    }
+  }
+
+  test("KMeans.fit scores every distance in its first pass and fewer in each later one on well-separated clusters") {
+    val rnd = new java.util.Random(5)
+    val centers = Seq(Array(0f, 0f, 0f), Array(100f, 0f, 0f), Array(0f, 100f, 0f), Array(0f, 0f, 100f))
+    val vecs = IndexedSeq.tabulate(400) { i =>
+      centers(i % 4).map(x => (x + rnd.nextGaussian() * 0.1).toFloat)
+    }
+    val (n, k, iters) = (vecs.length, 6, 10)
+    val fit = KMeans.fit(vecs, k, iters, seed = 7)
+    val scored = fit.stats.scoredPerPass
+    assert(scored.length == iters + 1)
+    assert(scored.head == n.toLong * k)
+    scored.tail.zipWithIndex.foreach { case (s, p) => assert(s < n.toLong * k, s"pass ${p + 1} scored $s") }
+    assertSameAsLloyd("separated", vecs, k, iters, seed = 7)
   }
 
   test("KMeans.assign breaks distance ties to the lowest centroid index") {

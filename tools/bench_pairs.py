@@ -10,17 +10,21 @@ committed) is exported with `git archive` into a temporary directory, so
 nothing is registered in the repository's .git and an interrupted run leaves
 only that directory. Each pair runs
 
-    python3 perfbench/run.py --workload W --seed S --seconds <run_seconds> --trace 0
+    python3 perfbench/run.py --workload W --seed S --seconds <run_seconds> --trace T
 
 once in the base tree and once in the working tree, alternating which side
-runs first; seeds cycle over the pairs, and run_seconds comes from
-BENCHMARK.json. The summary goes to --out, by default BENCH_<workload>.json
+runs first; seeds cycle over the pairs, run_seconds comes from
+BENCHMARK.json, and T is --trace (default 0). With --trace 0 the summary
+covers BENCHMARK.json's end-to-end metrics; with --trace 1 it covers its
+per-layer metrics, which have no bound, so they carry no worse_than_bound
+flag. A traced run backs no claim, so --trace 1 requires --out.
+The summary goes to --out, by default BENCH_<workload>.json
 at the repository root, the file that backs a claimed gain. A check that
 claims nothing (a workload the change should leave alone, or a trial run)
 passes a path outside the repository, e.g. --out /tmp/BENCH_<workload>.json,
 so that it does not overwrite the committed file of an earlier claim. Per side,
-the summary holds the median and quartiles of every end-to-end metric that
-BENCHMARK.json declares; per metric, the number of pairs the change wins
+the summary holds the median and quartiles of every metric it covers;
+per metric, the number of pairs the change wins
 (ties count for neither side) and whether the medians differ by more than
 the base's interquartile range; failed/attempted operation counts; every
 run's values, exit code and answer check ("correct"); the seeds, the host
@@ -64,10 +68,10 @@ def quartiles(xs):
     return q1, q2, q3
 
 
-def run_once(tree, workload, seed, seconds):
+def run_once(tree, workload, seed, seconds, trace):
     """One perfbench run; returns its result line as a dict, or an error."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     t0 = time.time()
     proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, text=True)
     lines = proc.stdout.strip().split("\n") if proc.stdout.strip() else []
@@ -118,11 +122,12 @@ def both_exited_0(pair):
     return pair["base"]["exit_code"] == 0 and pair["change"]["exit_code"] == 0
 
 
-def summarize(spec, runs):
-    """Per-metric medians, quartiles and pair wins from the counted pairs."""
+def summarize(metrics, runs):
+    """Per-metric medians, quartiles and pair wins from the counted pairs;
+    a metric with a bound also gets its worse_than_bound flag."""
     runs = [p for p in runs if both_exited_0(p)]
     out = {}
-    for m in spec["end_to_end"]:
+    for m in metrics:
         name, higher = m["name"], m["better"] == "higher"
         pairs = [(p["base"]["metrics"].get(name), p["change"]["metrics"].get(name)) for p in runs]
         pairs = [(b, c) for b, c in pairs if b is not None and c is not None]
@@ -137,7 +142,6 @@ def summarize(spec, runs):
         out[name] = {
             "unit": m["unit"],
             "better": m["better"],
-            "bound": m["bound"],
             "pairs": len(pairs),
             "base": {"q1": base[0], "median": base[1], "q3": base[2]},
             "change": {"q1": change[0], "median": change[1], "q3": change[2]},
@@ -145,8 +149,10 @@ def summarize(spec, runs):
             "change_wins": wins,
             "base_wins": losses,
             "median_diff_exceeds_base_iqr": abs(change[1] - base[1]) > base[2] - base[0],
-            "worse_than_bound": worse > m["bound"],
         }
+        if "bound" in m:
+            out[name]["bound"] = m["bound"]
+            out[name]["worse_than_bound"] = worse > m["bound"]
     return out
 
 
@@ -157,9 +163,13 @@ def main():
     ap.add_argument("--seeds", default="1", help="comma-separated; cycled over the pairs")
     ap.add_argument("--base", default="HEAD", help="revision the working tree is compared with")
     ap.add_argument("--out", help="summary path (default BENCH_<workload>.json at the repository root)")
+    ap.add_argument("--trace", type=int, choices=[0, 1], default=0,
+                    help="1: summarize the per-layer metrics of traced runs (requires --out)")
     args = ap.parse_args()
     if args.pairs <= 0:
         sys.exit("bench_pairs: --pairs must be positive")
+    if args.trace and not args.out:
+        sys.exit("bench_pairs: --trace 1 requires --out, so that no claim file is overwritten")
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     if not seeds:
         sys.exit("bench_pairs: --seeds names no seed")
@@ -203,7 +213,7 @@ def main():
             for side in order:
                 print("[bench_pairs] pair %d/%d seed %d: %s" % (i + 1, args.pairs, seed, side),
                       file=sys.stderr, flush=True)
-                pair[side] = run_once(trees[side], args.workload, seed, seconds)
+                pair[side] = run_once(trees[side], args.workload, seed, seconds, args.trace)
             runs.append(pair)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
@@ -221,11 +231,12 @@ def main():
         "seeds": seeds,
         "run_seconds": seconds,
         "host": host_info(),
-        "command": "python3 tools/bench_pairs.py --workload %s --pairs %d --seeds %s --base %s"
-                   % (args.workload, args.pairs, ",".join(map(str, seeds)), base_rev),
-        "run_command": "python3 perfbench/run.py --workload %s --seed S --seconds %s --trace 0"
-                       % (args.workload, seconds),
-        "metrics": summarize(spec, runs),
+        "command": "python3 tools/bench_pairs.py --workload %s --pairs %d --seeds %s --base %s%s"
+                   % (args.workload, args.pairs, ",".join(map(str, seeds)), base_rev,
+                      " --trace 1" if args.trace else ""),
+        "run_command": "python3 perfbench/run.py --workload %s --seed S --seconds %s --trace %d"
+                       % (args.workload, seconds, args.trace),
+        "metrics": summarize(spec["per_layer" if args.trace else "end_to_end"], runs),
         "excluded_pairs": [{"pair": p["pair"], "seed": p["seed"],
                             **{side: {"exit_code": p[side]["exit_code"], "correct": p[side]["correct"]}
                                for side in ("base", "change")}}
@@ -243,10 +254,11 @@ def main():
             for side in ("base", "change"))), file=sys.stderr)
     for name, m in report["metrics"].items():
         if m.get("pairs"):
-            print("  %-28s base %12.6g  change %12.6g  change wins %d/%d  worse_than_bound %s"
+            print("  %-34s base %12.6g  change %12.6g  change wins %d/%d%s"
                   "  median_diff_exceeds_base_iqr %s"
                   % (name, m["base"]["median"], m["change"]["median"], m["change_wins"], m["pairs"],
-                     m["worse_than_bound"], m["median_diff_exceeds_base_iqr"]),
+                     "  worse_than_bound %s" % m["worse_than_bound"] if "bound" in m else "",
+                     m["median_diff_exceeds_base_iqr"]),
                   file=sys.stderr)
 
 
