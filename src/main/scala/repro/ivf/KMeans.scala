@@ -32,8 +32,8 @@ import repro.core.{Kernels, LinearScan, PdxBlock, PdxLayout, PdxScratch}
   *
   * The assignment passes and the centroid–centroid scan run on all cores,
   * one independent question per vector or centroid. The centroid sums are
-  * split over the threads by dimension slices, and each (centroid, dim) sum
-  * still adds in index order; the counts and the reseeding of empty clusters
+  * split over the threads by centroid, and each (centroid, dim) sum still
+  * adds in index order; the counts and the reseeding of empty clusters
   * run on the calling thread. So the result has the same bits for any
   * number of threads; the threads are those of the ForkJoin pool that calls
   * [[fit]] (the common pool unless called from inside another pool).
@@ -131,8 +131,10 @@ object KMeans {
   /** Vectors per task of an assignment pass. */
   private val Chunk = 64
 
-  /** Dimensions per task of the centroid sums. */
-  private val SliceDims = 32
+  /** Tasks of the centroid sums, one per CPU: task t adds up the vectors of
+    * the centroids c ≡ t (mod SumTasks), each vector read whole.
+    */
+  private val SumTasks = Runtime.getRuntime.availableProcessors
 
   /** Per centroid-move decay factor of the lower bounds, 1 − 2⁻²²: with
     * round-to-nearest, fl(fl(L·Shrink) − δ) ≤ L − δ, so a lower bound moved
@@ -258,15 +260,16 @@ object KMeans {
     val counts = new Array[Int](k)
     assign.foreach(a => counts(a) += 1)
     val sums = Array.ofDim[Double](k, d)
-    IntStream.range(0, (d + SliceDims - 1) / SliceDims).parallel().forEach { s =>
-      val j0 = s * SliceDims
-      val j1 = math.min(d, j0 + SliceDims)
+    IntStream.range(0, SumTasks).parallel().forEach { t =>
       var i = 0
       while (i < n) {
-        val v = vs(i)
-        val sum = sums(assign(i))
-        var j = j0
-        while (j < j1) { sum(j) += v(j); j += 1 }
+        val a = assign(i)
+        if (a % SumTasks == t) {
+          val v = vs(i)
+          val sum = sums(a)
+          var j = 0
+          while (j < d) { sum(j) += v(j); j += 1 }
+        }
         i += 1
       }
     }
