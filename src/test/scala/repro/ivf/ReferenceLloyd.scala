@@ -6,8 +6,8 @@ import java.util.stream.IntStream
 /** Plain Lloyd k-means as `KMeans.fit` ran it before it kept Elkan bounds:
   * every pass scores all n·k distances with `KMeans.Model.assign`, and
   * `partition` runs one more full pass on the final centroids. The tests hold
-  * the bounded fit to its bits. Its input is not checked; `KMeans.fit` checks
-  * the same input first in every test that compares them.
+  * the bounded fit to its bits. Its input is not checked: the tests give it
+  * only input that `KMeans.fit` accepts.
   */
 object ReferenceLloyd {
 
