@@ -34,7 +34,7 @@ final class KnnHeap(val k: Int) {
     } else if (dist < dists(0) || (dist == dists(0) && id < idArr(0))) {
       dists(0) = dist
       idArr(0) = id
-      siftDown(0)
+      KnnHeap.siftDown(dists, idArr, 0, count)
     }
   }
 
@@ -42,37 +42,58 @@ final class KnnHeap(val k: Int) {
     var i = i0
     while (i > 0) {
       val parent = (i - 1) >> 1
-      if (after(i, parent)) { swap(i, parent); i = parent }
+      if (KnnHeap.after(dists, idArr, i, parent)) { KnnHeap.swap(dists, idArr, i, parent); i = parent }
       else return
     }
   }
 
-  private def siftDown(i0: Int): Unit = {
+  /** Heapsort of a copy of the entries, on the primitive arrays: the ids and
+    * distances ascending by (distance, id).
+    */
+  private def sortedArrays(): (Array[Long], Array[Float]) = {
+    val ds = java.util.Arrays.copyOf(dists, count)
+    val is = java.util.Arrays.copyOf(idArr, count)
+    var end = count - 1
+    while (end > 0) {
+      KnnHeap.swap(ds, is, 0, end)
+      KnnHeap.siftDown(ds, is, 0, end)
+      end -= 1
+    }
+    (is, ds)
+  }
+
+  /** Result sorted ascending by (distance, id) — deterministic output. */
+  def sorted: IndexedSeq[(Long, Float)] = {
+    val (is, ds) = sortedArrays()
+    IndexedSeq.tabulate(count)(i => (is(i), ds(i)))
+  }
+
+  def idsSorted: IndexedSeq[Long] = scala.collection.immutable.ArraySeq.unsafeWrapArray(sortedArrays()._1)
+}
+
+private object KnnHeap {
+
+  /** Restores the max-heap below `i0` over entries `0 until count`. */
+  def siftDown(dists: Array[Float], ids: Array[Long], i0: Int, count: Int): Unit = {
     var i = i0
     while (true) {
       val l = 2 * i + 1
       val r = l + 1
       var largest = i
-      if (l < count && after(l, largest)) largest = l
-      if (r < count && after(r, largest)) largest = r
+      if (l < count && after(dists, ids, l, largest)) largest = l
+      if (r < count && after(dists, ids, r, largest)) largest = r
       if (largest == i) return
-      swap(i, largest)
+      swap(dists, ids, i, largest)
       i = largest
     }
   }
 
   /** Entry i comes after entry j in (distance, id) order. */
-  @inline private def after(i: Int, j: Int): Boolean =
-    dists(i) > dists(j) || (dists(i) == dists(j) && idArr(i) > idArr(j))
+  @inline def after(dists: Array[Float], ids: Array[Long], i: Int, j: Int): Boolean =
+    dists(i) > dists(j) || (dists(i) == dists(j) && ids(i) > ids(j))
 
-  @inline private def swap(i: Int, j: Int): Unit = {
+  @inline def swap(dists: Array[Float], ids: Array[Long], i: Int, j: Int): Unit = {
     val td = dists(i); dists(i) = dists(j); dists(j) = td
-    val ti = idArr(i); idArr(i) = idArr(j); idArr(j) = ti
+    val ti = ids(i); ids(i) = ids(j); ids(j) = ti
   }
-
-  /** Result sorted ascending by (distance, id) — deterministic output. */
-  def sorted: IndexedSeq[(Long, Float)] =
-    (0 until count).map(i => (idArr(i), dists(i))).sortBy { case (id, d) => (d, id) }
-
-  def idsSorted: IndexedSeq[Long] = sorted.map(_._1)
 }

@@ -151,7 +151,10 @@ object LinearScan {
     Kernels.l2Pdx(block.data, block.n, q, null, 0, block.d, scratch)
   }
 
-  /** PDX linear scan: blocks of vectors, dimension-at-a-time, no pruning. */
+  /** PDX linear scan: blocks of vectors, dimension-at-a-time, no pruning.
+    * Each block is read only until the next one is taken, so an iterator
+    * may refill one set of arrays per block (Spark's per-task decoder does).
+    */
   def pdxKnn(blocks: IterableOnce[PdxBlock], q: Array[Float], k: Int): KnnHeap = {
     val heap = new KnnHeap(k)
     val scratch = new PdxScratch

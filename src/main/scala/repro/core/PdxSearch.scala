@@ -39,7 +39,10 @@ final class PdxSearcher(val k: Int, val profiler: SearchProfiler = null) {
     if (positions.length < n) positions = new Array[Int](n)
   }
 
-  /** Search the given blocks in order (for IVF: nearest buckets first). */
+  /** Search the given blocks in order (for IVF: nearest buckets first).
+    * Each block is read only until the next one is taken, so an iterator
+    * may refill one set of arrays per block (Spark's per-task decoder does).
+    */
   def search(blocks: IterableOnce[PdxBlock], rawQuery: Array[Float],
              pruner: Pruner): KnnHeap = {
     LinearScan.requireFiniteQuery(rawQuery)
@@ -47,7 +50,8 @@ final class PdxSearcher(val k: Int, val profiler: SearchProfiler = null) {
   }
 
   /** Search with an already-prepared query, merging into `heap` (lets IVF
-    * prepare the query once for bucket selection and propagate τ).
+    * prepare the query once for bucket selection and propagate τ). Reads
+    * each block only until it takes the next, as [[search]] does.
     */
   def searchPrepared(blocks: IterableOnce[PdxBlock], pq: PreparedQuery,
                      heap: KnnHeap): KnnHeap = {

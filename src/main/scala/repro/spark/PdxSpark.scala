@@ -1,8 +1,11 @@
 package repro.spark
 
 import org.apache.spark.sql.{DataFrame, Dataset, Row, SparkSession}
+import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.catalyst.expressions.UnsafeArrayData
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{DoubleType, LongType, StructField, StructType}
+import org.apache.spark.unsafe.Platform
 import repro.core._
 import repro.prune.Bond
 import scala.jdk.CollectionConverters._
@@ -26,6 +29,51 @@ object PdxBlockRow {
   def from(b: PdxBlock): PdxBlockRow = PdxBlockRow(b.ids, b.n, b.d, b.data, b.means)
 }
 
+/** Decodes cached [[PdxBlockRow]]s, as the blocks' `queryExecution.toRdd`
+  * yields them, into one set of `ids`, `data` and `means` arrays that every
+  * decoded block reuses: a task scans its blocks with no array allocated per
+  * block. The arrays are replaced only when `n`, `d` or `n·d` changes, at a
+  * partition's short last block. Each column is one bulk copy out of the
+  * row's `UnsafeArrayData`. Columns are found by name in the blocks'
+  * `schema`; a column that does not hold its `n`, `n·d` or `d` values
+  * fails before it is copied. The block that [[decode]] returns is valid only
+  * until its next call, which is the contract of `PdxSearcher.search` and
+  * `LinearScan.pdxKnn`. One decoder per task.
+  */
+private[spark] final class BlockDecoder(schema: StructType) {
+  private val idsCol = schema.fieldIndex("ids")
+  private val nCol = schema.fieldIndex("n")
+  private val dCol = schema.fieldIndex("d")
+  private val dataCol = schema.fieldIndex("data")
+  private val meansCol = schema.fieldIndex("means")
+  private var ids = Array.emptyLongArray
+  private var data = Array.emptyFloatArray
+  private var means = Array.emptyFloatArray
+
+  def decode(row: InternalRow): PdxBlock = {
+    val n = row.getInt(nCol)
+    val d = row.getInt(dCol)
+    if (ids.length != n) ids = new Array[Long](n)
+    if (data.length != n * d) data = new Array[Float](n * d)
+    if (means.length != d) means = new Array[Float](d)
+    copy(row, idsCol, "ids", ids, Platform.LONG_ARRAY_OFFSET, n, 8)
+    copy(row, dataCol, "data", data, Platform.FLOAT_ARRAY_OFFSET, n * d, 4)
+    copy(row, meansCol, "means", means, Platform.FLOAT_ARRAY_OFFSET, d, 4)
+    PdxBlock(ids, n, d, data, means, Array.emptyFloatArray)
+  }
+
+  /** Copies the `len` elements of `width` bytes of column `col` into `dst`.
+    * A planned Dataset yields unsafe rows, whose arrays are `UnsafeArrayData`.
+    */
+  private def copy(row: InternalRow, col: Int, name: String, dst: AnyRef, dstOffset: Long,
+                   len: Int, width: Int): Unit = {
+    val a = row.getArray(col).asInstanceOf[UnsafeArrayData]
+    require(a.numElements == len, s"cached block column $name holds ${a.numElements} values, expected $len")
+    Platform.copyMemory(a.getBaseObject, a.getBaseOffset + UnsafeArrayData.calculateHeaderPortionInBytes(len),
+                        dst, dstOffset, len.toLong * width)
+  }
+}
+
 /** One neighbour in a `pdx_block_knn` result: SQL `struct<id: bigint, dist: double>`. */
 final case class KnnHit(id: Long, dist: Double)
 
@@ -33,18 +81,19 @@ final case class KnnHit(id: Long, dist: Double)
   * and run dimension-by-dimension KNN inside executors.
   *
   * Layering (DESIGN.md §3): the layout is a `Dataset[PdxBlockRow]` built by
-  * `mapPartitions` (i); a query is one Spark job over the blocks' RDD, in
-  * which each partition runs the PDXearch core and returns its top-k, and
-  * the driver merges those k-lists with a [[KnnHeap]] by (dist, id) (ii);
-  * and the same scan is exposed to Spark SQL as the `pdx_block_knn` UDF
-  * (iii). Exact variants stay exact under this parallelization: each
-  * partition runs its own START phase, and the merge of per-partition exact
-  * top-k is the exact top-k.
+  * `mapPartitions` (i); a query is one Spark job over the blocks' internal
+  * rows (`queryExecution.toRdd`), in which each task decodes its rows into
+  * one reused set of arrays ([[BlockDecoder]]), runs the PDXearch core and
+  * returns its top-k, and the driver merges those k-lists with a
+  * [[KnnHeap]] by (dist, id) (ii); and the same scan is exposed to Spark SQL
+  * as the `pdx_block_knn` UDF (iii). Exact variants stay exact under this
+  * parallelization: each partition runs its own START phase, and the merge
+  * of per-partition exact top-k is the exact top-k.
   *
   * Cache the blocks (`pack(...).cache()`) before their first query: the
-  * queries run on `blocks.rdd`, which Spark plans once per Dataset, so
-  * blocks cached only after their first query are packed again by every
-  * query.
+  * queries run on `blocks.queryExecution.toRdd`, which Spark plans once per
+  * Dataset, so blocks cached only after their first query are packed again
+  * by every query.
   */
 object PdxSpark {
 
@@ -108,17 +157,22 @@ object PdxSpark {
   private val KnnSchema = StructType(Seq(
     StructField("id", LongType, nullable = false), StructField("dist", DoubleType, nullable = false)))
 
-  /** Runs `topK` on each partition's blocks in one job over `blocks.rdd`
-    * (planned once per Dataset, so over the cache when the blocks were
-    * cached before the first query) and merges the per-partition k-lists
-    * into one [[KnnHeap]] on the driver. The result is a local DataFrame,
-    * (id LONG, dist DOUBLE) sorted ascending by (dist, id): collecting it
-    * runs no second job.
+  /** Runs `topK` on each partition's blocks in one job over
+    * `blocks.queryExecution.toRdd` (planned once per Dataset, so over the
+    * cache when the blocks were cached before the first query) and merges
+    * the per-partition k-lists into one [[KnnHeap]] on the driver. Each task
+    * decodes its rows with one [[BlockDecoder]], so `topK` sees every block
+    * over the same arrays and must read a block only until it takes the
+    * next. The result is a local DataFrame, (id LONG, dist DOUBLE) sorted
+    * ascending by (dist, id): collecting it runs no second job.
     */
   private def globalTopK(blocks: Dataset[PdxBlockRow], k: Int)(
       topK: Iterator[PdxBlock] => KnnHeap): DataFrame = {
-    val perPartition =
-      blocks.rdd.mapPartitions(it => Iterator.single(topK(it.map(_.toBlock)).sorted)).collect()
+    val schema = blocks.schema
+    val perPartition = blocks.queryExecution.toRdd.mapPartitions { rows =>
+      val decoder = new BlockDecoder(schema)
+      Iterator.single(topK(rows.map(decoder.decode)).sorted)
+    }.collect()
     val heap = new KnnHeap(k)
     perPartition.foreach(_.foreach { case (id, dist) => heap.push(id, dist) })
     val rows = heap.sorted.map { case (id, dist) => Row(id, dist.toDouble) }

@@ -59,6 +59,24 @@ class KnnHeapSpec extends AnyFunSuite {
     }
   }
 
+  test("sorted and idsSorted equal a (distance, id) sortBy of the kept entries, with ties and duplicate ids") {
+    val gen = for {
+      k <- Gen.choose(1, 40)
+      n <- Gen.choose(1, 120)
+      seed <- Gen.choose(0L, 10000L)
+    } yield (k, n, seed)
+    forAllSampled(gen) { case (k, n, seed) =>
+      // Few distinct ids and distances: equal distances and repeated (id, distance) pairs are common.
+      val rnd = new java.util.Random(seed)
+      val items = IndexedSeq.fill(n)((rnd.nextInt(8).toLong, (rnd.nextInt(5) - 2).toFloat))
+      val h = new KnnHeap(k)
+      items.foreach { case (id, dist) => h.push(id, dist) }
+      val expect = items.sortBy { case (id, d) => (d, id) }.take(k)
+      assert(h.sorted == expect)
+      assert(h.idsSorted == expect.map(_._1))
+    }
+  }
+
   test("property: heap top-k distances match full sort on arbitrary input") {
     val gen = for {
       k <- Gen.choose(1, 20)

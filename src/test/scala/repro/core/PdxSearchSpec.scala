@@ -68,6 +68,49 @@ class PdxSearchSpec extends AnyFunSuite {
     }
   }
 
+  /** Yields `blocks` over one shared set of arrays that each `next()`
+    * refills, replaced only when a block's `n` or `d` changes, as Spark's
+    * per-task block decoder does: a search that kept a reference to an
+    * earlier block would read a later block's values through it.
+    */
+  private def refilled(blocks: Seq[PdxBlock]): Iterator[PdxBlock] = {
+    var ids = Array.emptyLongArray
+    var data = Array.emptyFloatArray
+    var means = Array.emptyFloatArray
+    blocks.iterator.map { b =>
+      if (ids.length != b.n) ids = new Array[Long](b.n)
+      if (data.length != b.n * b.d) data = new Array[Float](b.n * b.d)
+      if (means.length != b.d) means = new Array[Float](b.d)
+      System.arraycopy(b.ids, 0, ids, 0, b.n)
+      System.arraycopy(b.data, 0, data, 0, b.n * b.d)
+      System.arraycopy(b.means, 0, means, 0, b.d)
+      PdxBlock(ids, b.n, b.d, data, means, Array.emptyFloatArray)
+    }
+  }
+
+  test("a block is read only until the next is taken: searches over one refilled set of arrays equal searches over distinct blocks") {
+    val d = 24
+    val sizes = Seq(64, 64, 64, 17, 64, 64, 64, 5, 64, 64)
+    val ds = clustered(sizes.sum, d, queries = 8, seed = 23)
+    val starts = sizes.scanLeft(0)(_ + _)
+    val blocks = sizes.indices.map { b =>
+      val range = starts(b) until starts(b + 1)
+      PdxLayout.packOne(range.map(ds.vectors), range.map(ds.ids), d, withSuffixNorms = false)
+    }
+    val shared = refilled(blocks)
+    assert(shared.next().data eq shared.next().data)
+    val searches = Seq[(String, Iterator[PdxBlock] => Array[Float] => KnnHeap)](
+      "PDX-BOND" -> (it => q => new PdxSearcher(10).search(it, q, new Bond(d, Bond.DistanceToMeans))),
+      "NeverPrune" -> (it => q => new PdxSearcher(10).search(it, q, TestPruners.NeverPrune(d))),
+      "LinearScan.pdxKnn" -> (it => q => LinearScan.pdxKnn(it, q, 10)))
+    val bits = (h: Seq[(Long, Float)]) => h.map { case (id, x) => (id, java.lang.Float.floatToRawIntBits(x)) }
+    for ((name, search) <- searches; q <- ds.queries) {
+      val distinct = search(blocks.iterator)(q).sorted
+      assert(bits(search(refilled(blocks))(q).sorted) == bits(distinct), name)
+      TestUtil.assertExactKnn(distinct, ds.vectors, q, 10)
+    }
+  }
+
   test("PDXearch + NeverPrune equals a PDX linear scan") {
     val d = 20
     val ds = clustered(500, d, queries = 8, seed = 11)

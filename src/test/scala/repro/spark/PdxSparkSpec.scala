@@ -3,10 +3,11 @@ package repro.spark
 import java.util.concurrent.atomic.AtomicInteger
 import org.apache.spark.repro.ListenerBus
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
-import org.apache.spark.sql.Dataset
+import org.apache.spark.sql.{DataFrame, Dataset}
+import org.apache.spark.sql.catalyst.encoders.ExpressionEncoder
 import org.apache.spark.sql.execution.LocalTableScanExec
 import repro.{SparkSpec, TestUtil}
-import repro.core.Kernels
+import repro.core.{Kernels, PdxBlock}
 import repro.data.VectorData
 
 class PdxSparkSpec extends SparkSpec {
@@ -115,18 +116,70 @@ class PdxSparkSpec extends SparkSpec {
     (value, jobs.get)
   }
 
-  test("a knnBond query is one Spark job and its answer is a local table") {
-    val df = PdxSpark.toVectorDF(spark, ds.vectors, numPartitions = 4)
-    val blocks = PdxSpark.pack(df, 64).cache()
-    blocks.count()
-    val q = ds.queries.head
-    PdxSpark.knnBond(blocks, q, 10).collect() // the first query plans blocks.rdd
-    val ((res, rows), jobs) = jobsOf { val res = PdxSpark.knnBond(blocks, q, 10); (res, res.collect()) }
-    assert(jobs == 1)
-    assert(res.queryExecution.executedPlan.isInstanceOf[LocalTableScanExec],
-           res.queryExecution.executedPlan.toString)
-    TestUtil.assertExactKnn(rows.map(r => (r.getLong(0), r.getDouble(1).toFloat)).toSeq, ds.vectors, q, 10)
+  // knnExact and knnBond share globalTopK.
+  for ((name, knn) <- Seq[(String, (Dataset[PdxBlockRow], Array[Float], Int) => DataFrame)](
+         "knnBond" -> PdxSpark.knnBond, "knnExact" -> PdxSpark.knnExact)) {
+    test(s"a $name query is one Spark job and its answer is a local table") {
+      val df = PdxSpark.toVectorDF(spark, ds.vectors, numPartitions = 4)
+      val blocks = PdxSpark.pack(df, 64).cache()
+      blocks.count()
+      val q = ds.queries.head
+      knn(blocks, q, 10).collect() // the first query plans blocks.queryExecution.toRdd
+      val ((res, rows), jobs) = jobsOf { val res = knn(blocks, q, 10); (res, res.collect()) }
+      assert(jobs == 1)
+      assert(res.queryExecution.executedPlan.isInstanceOf[LocalTableScanExec],
+             res.queryExecution.executedPlan.toString)
+      TestUtil.assertExactKnn(rows.map(r => (r.getLong(0), r.getDouble(1).toFloat)).toSeq, ds.vectors, q, 10)
+      blocks.unpersist()
+    }
+  }
+
+  test("BlockDecoder decodes each cached row into reused arrays equal to its PdxBlockRow; knnExact and knnBond stay exact") {
+    // 200 vectors in 3 partitions of blocks of 64: each partition holds one
+    // full block and one short one, so decoding the rows in order regrows
+    // the arrays at every block.
+    val vecs = ds.vectors.take(200)
+    val blocks = PdxSpark.pack(PdxSpark.toVectorDF(spark, vecs, numPartitions = 3), 64).cache()
+    val rows = blocks.queryExecution.toRdd.map(_.copy()).collect()
+    val sizes = rows.map(_.getInt(blocks.schema.fieldIndex("n"))).toSeq
+    assert(sizes.sum == 200 && sizes.count(_ == 64) == 3, sizes)
+    assert(sizes.sliding(2).forall { case Seq(a, b) => (a == 64) != (b == 64) }, sizes)
+    val fromRow = ExpressionEncoder[PdxBlockRow]().resolveAndBind().createDeserializer()
+    val decoder = new BlockDecoder(blocks.schema)
+    var prev: PdxBlock = null
+    rows.foreach { row =>
+      val got = decoder.decode(row)
+      val want = fromRow(row).toBlock
+      assert(got.n == want.n && got.d == want.d)
+      assert(java.util.Arrays.equals(got.ids, want.ids))
+      assert(java.util.Arrays.equals(got.data, want.data))
+      assert(java.util.Arrays.equals(got.means, want.means))
+      assert(got.suffixSqNorms.isEmpty)
+      if (prev != null) {
+        assert((got.ids eq prev.ids) == (got.n == prev.n))
+        assert((got.data eq prev.data) == (got.n == prev.n))
+        assert(got.means eq prev.means)
+      }
+      prev = got
+    }
+    ds.queries.foreach { q =>
+      for (res <- Seq(PdxSpark.knnExact(blocks, q, 10), PdxSpark.knnBond(blocks, q, 10)))
+        TestUtil.assertExactKnn(res.collect().map(r => (r.getLong(0), r.getDouble(1).toFloat)).toSeq, vecs, q, 10)
+    }
     blocks.unpersist()
+  }
+
+  test("BlockDecoder rejects a row whose arrays do not hold n, n·d and d values") {
+    val toRow = ExpressionEncoder[PdxBlockRow]().createSerializer()
+    val schema = ExpressionEncoder[PdxBlockRow]().schema
+    val good = PdxBlockRow(Array(1L, 2L), 2, 3, Array.tabulate(6)(_.toFloat), Array(0f, 1f, 2f))
+    for ((row, msg) <- Seq(
+           good.copy(ids = Array(1L)) -> "cached block column ids holds 1 values, expected 2",
+           good.copy(data = Array(1f)) -> "cached block column data holds 1 values, expected 6",
+           good.copy(means = Array(1f)) -> "cached block column means holds 1 values, expected 3")) {
+      val e = intercept[IllegalArgumentException](new BlockDecoder(schema).decode(toRow(row)))
+      assert(e.getMessage.contains(msg), e.getMessage)
+    }
   }
 
   test("empty partitions: 5 vectors in 8 partitions answer k = 10 with all 5 ids in (dist, id) order") {
@@ -210,7 +263,7 @@ class PdxSparkSpec extends SparkSpec {
     assert(rowsPackedByQuery(cachedFirst) == 0)
     cachedFirst.unpersist()
 
-    // blocks.rdd is planned by the first query, without the cache that comes later.
+    // blocks.queryExecution.toRdd is planned by the first query, without the cache that comes later.
     val cachedLate = PdxSpark.pack(source, 64)
     assert(rowsPackedByQuery(cachedLate) == 200)
     cachedLate.cache()
