@@ -1,5 +1,6 @@
 package repro.spark
 
+import org.apache.spark.TaskContext
 import org.apache.spark.sql.{DataFrame, Dataset, Row, SparkSession}
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.expressions.UnsafeArrayData
@@ -74,6 +75,35 @@ private[spark] final class BlockDecoder(schema: StructType) {
   }
 }
 
+/** One partition's share of a `knnExact` or `knnBond` query: the task
+  * function that `PdxSpark` hands `SparkContext.runJob`. It decodes the
+  * partition's cached rows with one [[BlockDecoder]], runs
+  * `LinearScan.pdxKnn` or, with `bond`, PDXearch with PDX-BOND in
+  * distance-to-means order, and returns the partition's top-k sorted by
+  * (dist, id).
+  *
+  * It is a named class, not a lambda: `ClosureCleaner` parses, with ASM, the
+  * bytecode of the class that defines any lambda an action is given, on
+  * every call (for `RDD.collect`'s own lambda that class is `RDD`), but it
+  * passes over a function object that is not a closure. The DAGScheduler
+  * still serializes the task with Spark's closure serializer, so a task
+  * that cannot be serialized still fails its job with "Task not
+  * serializable"; it holds only the blocks' schema, the query, `k` and which
+  * search to run.
+  */
+private[spark] final class PartitionKnn(schema: StructType, query: Array[Float], k: Int, bond: Boolean)
+    extends ((TaskContext, Iterator[InternalRow]) => IndexedSeq[(Long, Float)]) with Serializable {
+
+  def apply(context: TaskContext, rows: Iterator[InternalRow]): IndexedSeq[(Long, Float)] = {
+    val decoder = new BlockDecoder(schema)
+    val blocks = rows.map(decoder.decode)
+    val heap =
+      if (bond) new PdxSearcher(k).search(blocks, query, new Bond(query.length, Bond.DistanceToMeans))
+      else LinearScan.pdxKnn(blocks, query, k)
+    heap.sorted
+  }
+}
+
 /** One neighbour in a `pdx_block_knn` result: SQL `struct<id: bigint, dist: double>`. */
 final case class KnnHit(id: Long, dist: Double)
 
@@ -81,14 +111,17 @@ final case class KnnHit(id: Long, dist: Double)
   * and run dimension-by-dimension KNN inside executors.
   *
   * Layering (DESIGN.md §3): the layout is a `Dataset[PdxBlockRow]` built by
-  * `mapPartitions` (i); a query is one Spark job over the blocks' internal
-  * rows (`queryExecution.toRdd`), in which each task decodes its rows into
-  * one reused set of arrays ([[BlockDecoder]]), runs the PDXearch core and
-  * returns its top-k, and the driver merges those k-lists with a
-  * [[KnnHeap]] by (dist, id) (ii); and the same scan is exposed to Spark SQL
-  * as the `pdx_block_knn` UDF (iii). Exact variants stay exact under this
-  * parallelization: each partition runs its own START phase, and the merge
-  * of per-partition exact top-k is the exact top-k.
+  * `mapPartitions` (i); a query is one `SparkContext.runJob` over the
+  * blocks' internal rows (`queryExecution.toRdd`), whose task function is
+  * the named class [[PartitionKnn]], not a lambda, so that `ClosureCleaner`
+  * parses no class per query (`RDD.collect` hands `runJob` a lambda defined
+  * in `RDD`, whose whole class the cleaner would read). Each task decodes
+  * its rows into one reused set of arrays ([[BlockDecoder]]), runs the
+  * PDXearch core and returns its top-k, and the driver merges those k-lists
+  * with a [[KnnHeap]] by (dist, id) (ii); and the same scan is exposed to
+  * Spark SQL as the `pdx_block_knn` UDF (iii). Exact variants stay exact
+  * under this parallelization: each partition runs its own START phase, and
+  * the merge of per-partition exact top-k is the exact top-k.
   *
   * Cache the blocks (`pack(...).cache()`) before their first query: the
   * queries run on `blocks.queryExecution.toRdd`, which Spark plans once per
@@ -135,11 +168,8 @@ object PdxSpark {
     * Cache `blocks` before its first query (see the object doc). A NaN or
     * infinite query value fails here on the driver, before any job.
     */
-  def knnExact(blocks: Dataset[PdxBlockRow], query: Array[Float], k: Int): DataFrame = {
-    require(k > 0, s"k must be positive, got $k")
-    LinearScan.requireFiniteQuery(query)
-    globalTopK(blocks, k)(it => LinearScan.pdxKnn(it, query, k))
-  }
+  def knnExact(blocks: Dataset[PdxBlockRow], query: Array[Float], k: Int): DataFrame =
+    globalTopK(blocks, query, k, bond = false)
 
   /** Distributed PDX-BOND KNN: per-partition PDXearch with the exact
     * partial-distance pruner in distance-to-means order; global top-k.
@@ -147,32 +177,28 @@ object PdxSpark {
     * its first query (see the object doc). Checks the query as `knnExact`
     * does.
     */
-  def knnBond(blocks: Dataset[PdxBlockRow], query: Array[Float], k: Int): DataFrame = {
-    require(k > 0, s"k must be positive, got $k")
-    LinearScan.requireFiniteQuery(query)
-    val d = query.length
-    globalTopK(blocks, k)(it => new PdxSearcher(k).search(it, query, new Bond(d, Bond.DistanceToMeans)))
-  }
+  def knnBond(blocks: Dataset[PdxBlockRow], query: Array[Float], k: Int): DataFrame =
+    globalTopK(blocks, query, k, bond = true)
 
   private val KnnSchema = StructType(Seq(
     StructField("id", LongType, nullable = false), StructField("dist", DoubleType, nullable = false)))
 
-  /** Runs `topK` on each partition's blocks in one job over
-    * `blocks.queryExecution.toRdd` (planned once per Dataset, so over the
-    * cache when the blocks were cached before the first query) and merges
-    * the per-partition k-lists into one [[KnnHeap]] on the driver. Each task
-    * decodes its rows with one [[BlockDecoder]], so `topK` sees every block
-    * over the same arrays and must read a block only until it takes the
-    * next. The result is a local DataFrame, (id LONG, dist DOUBLE) sorted
+  /** Checks `k` and the query on the driver, then runs one [[PartitionKnn]]
+    * task per partition of `blocks.queryExecution.toRdd` (planned once per
+    * Dataset, so over the cache when the blocks were cached before the first
+    * query) in one `SparkContext.runJob`, which returns each partition's
+    * k-list in its own slot, and merges the k-lists into one [[KnnHeap]] on
+    * the driver. The task is a named class so that no query runs
+    * `ClosureCleaner` over a lambda's defining class (see [[PartitionKnn]]).
+    * The result is a local DataFrame, (id LONG, dist DOUBLE) sorted
     * ascending by (dist, id): collecting it runs no second job.
     */
-  private def globalTopK(blocks: Dataset[PdxBlockRow], k: Int)(
-      topK: Iterator[PdxBlock] => KnnHeap): DataFrame = {
-    val schema = blocks.schema
-    val perPartition = blocks.queryExecution.toRdd.mapPartitions { rows =>
-      val decoder = new BlockDecoder(schema)
-      Iterator.single(topK(rows.map(decoder.decode)).sorted)
-    }.collect()
+  private def globalTopK(blocks: Dataset[PdxBlockRow], query: Array[Float], k: Int,
+                         bond: Boolean): DataFrame = {
+    require(k > 0, s"k must be positive, got $k")
+    LinearScan.requireFiniteQuery(query)
+    val rdd = blocks.queryExecution.toRdd
+    val perPartition = rdd.sparkContext.runJob(rdd, new PartitionKnn(blocks.schema, query, k, bond))
     val heap = new KnnHeap(k)
     perPartition.foreach(_.foreach { case (id, dist) => heap.push(id, dist) })
     val rows = heap.sorted.map { case (id, dist) => Row(id, dist.toDouble) }

@@ -1,8 +1,9 @@
 package repro.spark
 
 import java.util.concurrent.atomic.AtomicInteger
+import org.apache.spark.SparkEnv
 import org.apache.spark.repro.ListenerBus
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskEnd}
 import org.apache.spark.sql.{DataFrame, Dataset}
 import org.apache.spark.sql.catalyst.encoders.ExpressionEncoder
 import org.apache.spark.sql.execution.LocalTableScanExec
@@ -102,18 +103,20 @@ class PdxSparkSpec extends SparkSpec {
   }
 
   /** Runs `body` and returns its value with the number of Spark jobs it
-    * started.
+    * started and the number of tasks that ended.
     */
-  private def jobsOf[A](body: => A): (A, Int) = {
+  private def jobsOf[A](body: => A): (A, Int, Int) = {
     val sc = spark.sparkContext
     val jobs = new AtomicInteger
+    val tasks = new AtomicInteger
     val listener = new SparkListener {
       override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
+      override def onTaskEnd(e: SparkListenerTaskEnd): Unit = tasks.incrementAndGet()
     }
     ListenerBus.drain(sc)
     sc.addSparkListener(listener)
     val value = try { val v = body; ListenerBus.drain(sc); v } finally sc.removeSparkListener(listener)
-    (value, jobs.get)
+    (value, jobs.get, tasks.get)
   }
 
   // knnExact and knnBond share globalTopK.
@@ -125,13 +128,37 @@ class PdxSparkSpec extends SparkSpec {
       blocks.count()
       val q = ds.queries.head
       knn(blocks, q, 10).collect() // the first query plans blocks.queryExecution.toRdd
-      val ((res, rows), jobs) = jobsOf { val res = knn(blocks, q, 10); (res, res.collect()) }
+      val ((res, rows), jobs, tasks) = jobsOf { val res = knn(blocks, q, 10); (res, res.collect()) }
       assert(jobs == 1)
+      val partitions = blocks.queryExecution.toRdd.getNumPartitions
+      assert(partitions == 4 && tasks == partitions, s"$tasks tasks over $partitions partitions")
       assert(res.queryExecution.executedPlan.isInstanceOf[LocalTableScanExec],
              res.queryExecution.executedPlan.toString)
       TestUtil.assertExactKnn(rows.map(r => (r.getLong(0), r.getDouble(1).toFloat)).toSeq, ds.vectors, q, 10)
       blocks.unpersist()
     }
+  }
+
+  test("the query task is a named class that ClosureCleaner passes over and Spark's closure serializer round-trips") {
+    // ClosureCleaner acts only on a synthetic `$$Lambda` class or a class
+    // whose name holds `$anonfun$`; for any other function object it parses
+    // no bytecode.
+    val vecs = ds.vectors.take(200)
+    val blocks = PdxSpark.pack(PdxSpark.toVectorDF(spark, vecs, numPartitions = 3), 64).cache()
+    val rows = blocks.queryExecution.toRdd.map(_.copy()).collect()
+    val serializer = SparkEnv.get.closureSerializer.newInstance()
+    def bits(topK: IndexedSeq[(Long, Float)]) = topK.map { case (id, dist) => (id, java.lang.Float.floatToRawIntBits(dist)) }
+    for (q <- ds.queries; bond <- Seq(false, true)) {
+      val task = new PartitionKnn(blocks.schema, q, 10, bond)
+      val cls = task.getClass
+      assert(!cls.isSynthetic && !cls.getName.contains("$$Lambda") && !cls.getName.contains("$anonfun$"), cls.getName)
+      val copy = serializer.deserialize[PartitionKnn](serializer.serialize(task))
+      assert(copy ne task)
+      val want = task(null, rows.iterator)
+      assert(bits(copy(null, rows.iterator)) == bits(want))
+      TestUtil.assertExactKnn(want, vecs, q, 10)
+    }
+    blocks.unpersist()
   }
 
   test("BlockDecoder decodes each cached row into reused arrays equal to its PdxBlockRow; knnExact and knnBond stay exact") {
@@ -202,7 +229,7 @@ class PdxSparkSpec extends SparkSpec {
   test("pack rejects a non-positive blockSize on the driver, before any job") {
     val df = PdxSpark.toVectorDF(spark, ds.vectors.take(100), numPartitions = 2)
     for (bs <- Seq(0, -1)) {
-      val (e, jobs) = jobsOf(intercept[IllegalArgumentException](PdxSpark.pack(df, bs)))
+      val (e, jobs, _) = jobsOf(intercept[IllegalArgumentException](PdxSpark.pack(df, bs)))
       assert(e.getMessage.contains(s"blockSize must be positive, got $bs"), e.getMessage)
       assert(jobs == 0)
     }
@@ -215,7 +242,7 @@ class PdxSparkSpec extends SparkSpec {
     for ((pos, bad) <- (3 -> Float.NaN) +: firstAndLast) {
       val q = ds.queries.head.clone()
       q(pos) = bad
-      val (_, jobs) = jobsOf {
+      val (_, jobs, _) = jobsOf {
         for (query <- Seq[Array[Float] => Any](PdxSpark.knnExact(blocks, _, 10), PdxSpark.knnBond(blocks, _, 10))) {
           val e = intercept[IllegalArgumentException](query(q))
           assert(e.getMessage.contains(s"query value at position $pos is $bad"), e.getMessage)
