@@ -188,8 +188,9 @@ object PdxSpark {
     * Dataset, so over the cache when the blocks were cached before the first
     * query) in one `SparkContext.runJob`, which returns each partition's
     * k-list in its own slot, and merges the k-lists into one [[KnnHeap]] on
-    * the driver. The task is a named class so that no query runs
-    * `ClosureCleaner` over a lambda's defining class (see [[PartitionKnn]]).
+    * the driver. The task is a named class, not a lambda, because
+    * `ClosureCleaner` parses the class that defines any lambda an action is
+    * given; `RDD.collect`'s lambda is defined in `RDD` (see [[PartitionKnn]]).
     * The result is a local DataFrame, (id LONG, dist DOUBLE) sorted
     * ascending by (dist, id): collecting it runs no second job.
     */
